@@ -4,15 +4,15 @@ Cauchy solver."""
 
 from .cauchy import (CauchyProblem, dsigma_dt, gamma_constants, h_kernel,
                      jacobi_rule, rho, sigma, solve_point, verify_trace)
-from .core import gamma_ratio, log_pochhammer, pochhammer
+from .core import gamma_ratio
 from .errors import (ConvergenceWarning, DegenerateError, DivergenceError,
                      DomainError, KampeError, NegativePowerError,
                      ParameterError, PoleError, SchemaError, ShapeError)
 from .frobenius import (Exponents, Solution, eval_solution, independence_check,
                         indicial_roots, solution_derivative, solution_evaluator,
                         solution_pair_f0211, solution_pair_f1211)
-from .named import (ParamsF0211, ParamsF1211, ParamsXi2, eval_f0211,
-                    eval_f1211, eval_xi2, shape_f0211, shape_f1211, shape_xi2)
+from .named import (ParamsF0211, ParamsF1211, ParamsXi2, shape_f0211, shape_f1211,
+                    shape_xi2)
 from .pde import (EquationResidual, EulerSystem, PdeEquation, PdeSystem,
                   PdeTerm, equation_table, euler_system, expanded_system_f0211,
                   expanded_system_f1211, monomial_action, residual,
@@ -21,6 +21,6 @@ from .pde import (EquationResidual, EulerSystem, PdeEquation, PdeSystem,
 from .series import (DEFAULT_POLICY, ConvergenceRegion, KdFShape, SeriesResult,
                      SeriesStatus, TruncationPolicy, ValidationReport,
                      classify_convergence, in_region, kdf_derivative_shape,
-                     kdf_eval, kdf_eval_derivative, kdf_term, validate_shape)
+                     kdf_eval, kdf_eval_derivative, validate_shape)
 
 __version__ = "0.1.0"

@@ -1,10 +1,12 @@
-"""Self-contained property suites behind the CLI `check` command.
+"""The acceptance criteria and their oracles, defined once.
 
-Each suite re-derives its expected values from an oracle that does not share
-code with the path under test (direct one-dimensional sums, term-wise
-differentiated double sums, central finite differences, Beta-function
-moments), runs deterministically from a seed, and reports its worst measured
-deviation against a pinned tolerance.
+The CLI `check` command and the acceptance gate (`tests/test_acceptance.py`)
+run the same suites.  Each suite re-derives its expected values from an
+oracle that does not share code with the path under test (direct
+one-dimensional sums, term-wise differentiated double sums, central finite
+differences, Beta-function moments), runs deterministically from a seed, and
+reports its worst measured deviation against a pinned tolerance.  A
+non-finite deviation counts as infinite, so it fails its suite.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ class CheckResult:
     detail: str = ""
 
 
-def _hyp_1d(uppers, lowers, x: float, n_terms: int = 400) -> float:
-    """Direct one-variable series sum_m prod(u)_m / prod(l)_m x^m / m!."""
+def hyp1d(uppers, lowers, x: float, n_terms: int = 500) -> float:
+    """sum_m prod(u)_m / prod(l)_m * x^m / m! by direct term recursion."""
     term, total = 1.0, 1.0
     for m in range(n_terms):
         for u in uppers:
@@ -43,43 +45,58 @@ def _hyp_1d(uppers, lowers, x: float, n_terms: int = 400) -> float:
     return total
 
 
-def _double_sum(shape: series.KdFShape, x: float, y: float,
-                rmax: int = 80, smax: int = 80,
-                wx: int = 0, wy: int = 0) -> float:
-    """Brute-force double sum; wx, wy > 0 apply term-wise differentiation."""
-    def poch(a, n):
-        p = 1.0
-        for j in range(n):
-            p *= a + j
-        return p
+def shape_double_sum(shape: series.KdFShape, x: float, y: float, rmax: int = 64,
+                     smax: int = 64, wx: int = 0, wy: int = 0) -> float:
+    """Brute-force double sum over r < rmax, s < smax; wx/wy > 0 differentiate
+    term-wise that many times.
 
+    Every Pochhammer symbol is read from a prefix-product table of its own
+    parameter, so a term costs O(1).  Numerator and denominator Pochhammers
+    are interleaved so intermediate products stay inside double range for
+    the order caps used here.
+    """
+    top = {"j": rmax + smax, "x": rmax, "y": smax}
+
+    def tables(groups):
+        out = []
+        for kind, params in zip("jxy", groups):
+            for a in params:
+                table = [1.0]
+                for j in range(top[kind]):
+                    table.append(table[-1] * (a + j))
+                out.append((table, kind))
+        return out
+
+    uppers = tables((shape.upper_joint, shape.upper_x, shape.upper_y))
+    lowers = tables((shape.lower_joint, shape.lower_x, shape.lower_y))
     total = 0.0
     for r in range(wx, rmax):
         for s in range(wy, smax):
-            num = 1.0
-            for a in shape.upper_joint:
-                num *= poch(a, r + s)
-            for a in shape.upper_x:
-                num *= poch(a, r)
-            for a in shape.upper_y:
-                num *= poch(a, s)
-            if num == 0.0:
-                continue
-            den = 1.0
-            for a in shape.lower_joint:
-                den *= poch(a, r + s)
-            for a in shape.lower_x:
-                den *= poch(a, r)
-            for a in shape.lower_y:
-                den *= poch(a, s)
-            fac = 1.0
+            order = {"j": r + s, "x": r, "y": s}
+            term = x ** (r - wx) * y ** (s - wy) / math.factorial(r) / math.factorial(s)
             for i in range(wx):
-                fac *= r - i
+                term *= r - i
             for i in range(wy):
-                fac *= s - i
-            total += (num / den * fac * x ** (r - wx) * y ** (s - wy)
-                      / math.factorial(r) / math.factorial(s))
+                term *= s - i
+            for (up, kind_u), (lo, kind_l) in zip(uppers, lowers):
+                term *= up[order[kind_u]]
+                term /= lo[order[kind_l]]
+            for up, kind in uppers[len(lowers):]:
+                term *= up[order[kind]]
+            for lo, kind in lowers[len(uppers):]:
+                term /= lo[order[kind]]
+            total += term
     return total
+
+
+def _finite(dev: float) -> float:
+    """The deviation itself, or inf when it is not finite: a NaN must fail its
+    suite, not vanish inside max()."""
+    return dev if math.isfinite(dev) else math.inf
+
+
+def _rel_dev(got: float, ref: float) -> float:
+    return _finite(abs(got - ref) / max(abs(ref), 1e-300))
 
 
 def _random_shape(rng: random.Random) -> series.KdFShape:
@@ -99,87 +116,92 @@ def check_origin_normalization(seed: int = 42, **_) -> CheckResult:
     worst = 0.0
     for _ in range(50):
         sh = _random_shape(rng)
-        worst = max(worst, abs(series.kdf_eval(sh, (0.0, 0.0)).value - 1.0))
+        worst = max(worst, _rel_dev(series.kdf_eval(sh, (0.0, 0.0)).value, 1.0))
     return CheckResult("origin_normalization", worst == 0.0, worst, 0.0,
-                       "value at (0,0) over 50 random shapes")
+                       f"worst |value-1| = {worst:.1e} at (0,0) over 50 random shapes, exact")
 
 
 def check_reductions(seed: int = 42, **_) -> CheckResult:
     rng = random.Random(seed + 1)
     tol = 1e-12
     worst = 0.0
-    for _ in range(5):
+    xs = [rng.uniform(-0.5, 0.5) for _ in range(5)]
+    ys = [rng.uniform(-2.0, 2.0) for _ in range(5)]
+    for x, y in zip(xs, ys):
         b, c, d = (rng.uniform(0.2, 1.5) for _ in range(3))
-        e, f, g = (rng.uniform(1.1, 2.2) for _ in range(3))
         a = rng.uniform(0.2, 1.5)
-        x = rng.uniform(-0.5, 0.5)
-        y = rng.uniform(-2.0, 2.0)
-        v = named.eval_f0211(named.ParamsF0211(b, c, d, e, g), (x, 0.0)).value
-        ref = _hyp_1d((b, c), (e,), x)
-        worst = max(worst, abs(v - ref) / abs(ref))
-        v = named.eval_f1211(named.ParamsF1211(a, b, c, d, e, f, g), (x, 0.0)).value
-        ref = _hyp_1d((a, b, c), (e, f), x)
-        worst = max(worst, abs(v - ref) / abs(ref))
-        v = named.eval_f0211(named.ParamsF0211(b, c, d, e, d), (x, y)).value
-        ref = named.eval_xi2(named.ParamsXi2(b, c, e), (x, y)).value
-        worst = max(worst, abs(v - ref) / max(abs(ref), 1e-300))
+        e, f, g = (rng.uniform(1.1, 2.2) for _ in range(3))
+        v = series.kdf_eval(named.shape_f0211(named.ParamsF0211(b, c, d, e, g)), (x, 0.0))
+        worst = max(worst, _rel_dev(v.value, hyp1d((b, c), (e,), x)))
+        v = series.kdf_eval(named.shape_f1211(named.ParamsF1211(a, b, c, d, e, f, g)),
+                            (x, 0.0))
+        worst = max(worst, _rel_dev(v.value, hyp1d((a, b, c), (e, f), x)))
+        v = series.kdf_eval(named.shape_f0211(named.ParamsF0211(b, c, g, e, g)), (x, y))
+        ref = series.kdf_eval(named.shape_xi2(named.ParamsXi2(b, c, e)), (x, y))
+        worst = max(worst, _rel_dev(v.value, ref.value))
     return CheckResult("reductions", worst <= tol, worst, tol,
-                       "axis and parameter-cancellation reductions vs 1-d sums")
+                       f"axis and parameter-cancellation reductions vs 1-d sums: "
+                       f"worst rel dev = {worst:.2e} <= {tol}")
 
 
 def check_derivative_shift(seed: int = 42, **_) -> CheckResult:
     rng = random.Random(seed + 2)
-    tol_term, tol_fd = 1e-10, 1e-6
-    worst_ratio = 0.0
+    tol_term, tol_fd, h = 1e-10, 1e-6, 1e-5
     shapes = [
         named.shape_f1211(named.ParamsF1211(0.4, 0.8, 0.5, 0.9, 1.3, 1.8, 1.1)),
         named.shape_f0211(named.ParamsF0211(0.8, 0.5, 0.9, 1.3, 1.1)),
         named.shape_xi2(named.ParamsXi2(0.8, 0.5, 1.3)),
     ]
+    worst_term = worst_fd = 0.0
     for sh in shapes:
         for _ in range(10):
-            x = rng.uniform(0.05, 0.45)
-            y = rng.uniform(0.05, 0.45)
+            x, y = rng.uniform(0.05, 0.45), rng.uniform(0.05, 0.45)
             for dx, dy in ((1, 0), (0, 1), (1, 1)):
-                v = series.kdf_eval_derivative(sh, (x, y), dx, dy).value
-                ref = _double_sum(sh, x, y, wx=dx, wy=dy)
-                worst_ratio = max(worst_ratio, abs(v - ref) / max(abs(ref), 1e-300) / tol_term)
-            h = 1e-5
-            fd = (series.kdf_eval(sh, (x + h, y)).value
-                  - series.kdf_eval(sh, (x - h, y)).value) / (2 * h)
-            v = series.kdf_eval_derivative(sh, (x, y), 1, 0).value
-            worst_ratio = max(worst_ratio, abs(v - fd) / max(abs(fd), 1e-300) / tol_fd)
-    return CheckResult("derivative_shift", worst_ratio <= 1.0, worst_ratio, 1.0,
-                       "parameter-shift derivative vs term-wise sum and finite differences"
-                       " (worst deviation / tolerance)")
+                got = series.kdf_eval_derivative(sh, (x, y), dx, dy).value
+                ref = shape_double_sum(sh, x, y, wx=dx, wy=dy)
+                worst_term = max(worst_term, _rel_dev(got, ref))
+                if dx + dy == 1:
+                    fd = (series.kdf_eval(sh, (x + dx * h, y + dy * h)).value
+                          - series.kdf_eval(sh, (x - dx * h, y - dy * h)).value) / (2 * h)
+                    worst_fd = max(worst_fd, _rel_dev(got, fd))
+    worst = max(worst_term / tol_term, worst_fd / tol_fd)
+    return CheckResult("derivative_shift", worst <= 1.0, worst, 1.0,
+                       f"parameter-shift derivative vs term-wise sum {worst_term:.2e} "
+                       f"<= {tol_term:g} and finite differences {worst_fd:.2e} <= {tol_fd:g}; "
+                       "worst is deviation / tolerance")
 
 
 def check_operator_equivalence(**_) -> CheckResult:
     param_sets = [
-        (Fraction(1, 2), Fraction(3, 4), Fraction(2, 3), Fraction(5, 4),
-         Fraction(7, 5), Fraction(9, 7), Fraction(4, 3)),
-        (Fraction(1, 3), Fraction(2, 5), Fraction(5, 6), Fraction(7, 6),
-         Fraction(11, 8), Fraction(13, 9), Fraction(3, 2)),
-        (Fraction(2), Fraction(1), Fraction(3), Fraction(1, 2),
-         Fraction(5, 2), Fraction(7, 3), Fraction(5, 3)),
+        tuple(Fraction(n, d) for n, d in
+              ((1, 2), (3, 4), (2, 3), (5, 4), (7, 5), (9, 7), (4, 3))),
+        tuple(Fraction(n, d) for n, d in
+              ((1, 3), (2, 5), (5, 6), (7, 6), (11, 8), (13, 9), (3, 2))),
+        tuple(Fraction(n, d) for n, d in
+              ((2, 1), (1, 1), (3, 1), (1, 2), (5, 2), (7, 3), (5, 3))),
+        tuple(Fraction(n, 1) for n in (2, 1, 3, 1, 4, 3, 2)),
     ]
     mismatches = []
     for a, b, c, d, e, f, g in param_sets:
         pf = named.ParamsF1211(a, b, c, d, e, f, g)
         p0 = named.ParamsF0211(b, c, d, e, g)
+        systems = (("F1211", pde.expanded_system_f1211(pf), pde.euler_system("F1211", pf)),
+                   ("F0211", pde.expanded_system_f0211(p0), pde.euler_system("F0211", p0)))
         for r in range(1, 7):
             for s in range(1, 7):
-                for kind, expanded in (("F1211", pde.expanded_system_f1211(pf)),
-                                       ("F0211", pde.expanded_system_f0211(p0))):
-                    ea = pde.monomial_action(expanded, r, s)
-                    eb = pde.monomial_action(
-                        pde.euler_system(kind, pf if kind == "F1211" else p0), r, s)
-                    if ea != eb:
-                        mismatches.append(f"{kind} at ({r},{s})")
-    ok = not mismatches
-    return CheckResult("operator_equivalence", ok, float(len(mismatches)), 0.0,
-                       "exact monomial actions, operator vs expanded form"
-                       + ("; MISMATCH " + "; ".join(mismatches[:4]) if mismatches else ""))
+                for kind, expanded, euler in systems:
+                    want = pde.monomial_action(expanded, r, s)
+                    got = pde.monomial_action(euler, r, s)
+                    for i, (weq, geq) in enumerate(zip(want, got)):
+                        if weq != geq:
+                            diffs = {k: (geq.get(k, 0), weq.get(k, 0))
+                                     for k in set(weq) | set(geq)
+                                     if geq.get(k, 0) != weq.get(k, 0)}
+                            mismatches.append(f"{kind} eq{i+1} at ({r},{s}): {diffs}")
+    return CheckResult("operator_equivalence", not mismatches, float(len(mismatches)), 0.0,
+                       f"exact monomial actions, operator vs expanded form, over "
+                       f"{len(param_sets)} rational parameter sets, r,s in 1..6"
+                       + ("; MISMATCH " + "; ".join(mismatches[:3]) if mismatches else ""))
 
 
 def check_substitution_consistency(**_) -> CheckResult:
@@ -197,22 +219,32 @@ def check_substitution_consistency(**_) -> CheckResult:
                        "the pinned fingerprint -tau*nu*((e+f+1)g-1)/y")
 
 
+def worst_residual(system, pair, grid,
+                   policy: series.TruncationPolicy = series.DEFAULT_POLICY):
+    """Worst |residual| / scale of both solutions of `pair` on `system` over
+    the grid, with the equation number and point where it occurs."""
+    worst, where = 0.0, None
+    for sol in pair:
+        ev = frobenius.solution_evaluator(sol, policy)
+        for pt in grid:
+            for i, res in enumerate(pde.residual(system, ev, pt)):
+                ratio = _finite(abs(res.value) / max(res.scale, 1e-300))
+                if where is None or ratio > worst:
+                    worst, where = ratio, (i + 1, pt)
+    return worst, where
+
+
 def check_solution_residuals(**_) -> CheckResult:
     tol = 1e-8
-    worst = 0.0
     grid = [(x, y) for x in (0.1, 0.3) for y in (0.1, 0.3)]
     pf = named.ParamsF1211(0.3, 0.7, 0.3, 0.7, 1.2, 1.7, 0.4)
     p0 = named.ParamsF0211(0.7, 0.3, 0.7, 1.7, 1.6)
-    for system, pair in (
-            (pde.expanded_system_f1211(pf), frobenius.solution_pair_f1211(pf)),
-            (pde.expanded_system_f0211(p0), frobenius.solution_pair_f0211(p0))):
-        for sol in pair:
-            ev = frobenius.solution_evaluator(sol)
-            for pt in grid:
-                for res in pde.residual(system, ev, pt):
-                    worst = max(worst, abs(res.value) / max(res.scale, 1e-300))
+    cases = ((pde.expanded_system_f1211(pf), frobenius.solution_pair_f1211(pf)),
+             (pde.expanded_system_f0211(p0), frobenius.solution_pair_f0211(p0)))
+    worst = max(worst_residual(system, pair, grid)[0] for system, pair in cases)
     return CheckResult("solution_residuals", worst <= tol, worst, tol,
-                       "both solutions of both systems on a 2x2 grid")
+                       f"both solutions of both systems on a 2x2 grid: worst "
+                       f"|residual|/scale = {worst:.2e} <= {tol}")
 
 
 def check_indicial_roots(seed: int = 42, **_) -> CheckResult:
@@ -221,63 +253,72 @@ def check_indicial_roots(seed: int = 42, **_) -> CheckResult:
     worst = 0.0
     for _ in range(100):
         g = rng.uniform(-3.0, 3.0)
-        r1, r2 = frobenius.indicial_roots(g)
-        for r in (r1, r2):
-            worst = max(worst, abs(r.tau), abs(r.nu * (r.nu + g - 1.0)))
+        roots = frobenius.indicial_roots(g)
+        if len(roots) != 2 or roots[0].nu != 0.0:
+            worst = math.inf
+            break
+        defects = [roots[1].nu - (1.0 - g)]
+        for r in roots:
+            defects += [r.tau, r.nu * (r.nu + g - 1.0)]
+        worst = max(worst, *(_finite(abs(v)) for v in defects))
     return CheckResult("indicial_roots", worst <= tol, worst, tol,
-                       "tau = 0 and nu(nu+g-1) = 0 over 100 random g")
+                       f"two roots, nu = 0 exactly and nu = 1 - g; tau = 0 and "
+                       f"nu(nu+g-1) = 0 over 100 random g: worst defect = {worst:.1e} <= {tol}")
 
 
 def check_independence(**_) -> CheckResult:
     pts = [(0.1, 0.2), (0.2, 0.15), (0.15, 0.3), (0.25, 0.1), (0.3, 0.3)]
-    p_gen = named.ParamsF0211(0.5, 0.8, 0.6, 1.4, 0.4)
-    u1, u2 = frobenius.solution_pair_f0211(p_gen)
-    ok = frobenius.independence_check(u1, u2, pts)
-    p_col = named.ParamsF0211(0.5, 0.8, 0.6, 1.4, 1.0)
-    v1, v2 = frobenius.solution_pair_f0211(p_col)
-    ok = ok and not frobenius.independence_check(v1, v2, pts)
-    ok = ok and not frobenius.independence_check(
-        u1, dataclasses.replace(u1, scale=3.0), pts)
+    ok = True
+    for generic in (named.ParamsF0211(0.3, 0.7, 0.7, 1.2, 0.4),
+                    named.ParamsF0211(0.5, 0.8, 0.6, 1.4, 0.4)):
+        u1, u2 = frobenius.solution_pair_f0211(generic)
+        v1, v2 = frobenius.solution_pair_f0211(dataclasses.replace(generic, g=1.0))
+        ok = (ok and frobenius.independence_check(u1, u2, pts) is True
+              and frobenius.independence_check(v1, v2, pts) is False
+              and frobenius.independence_check(
+                  u1, dataclasses.replace(u1, scale=3.0), pts) is False)
     return CheckResult("independence", ok, 0.0 if ok else 1.0, 0.0,
-                       "generic pair true; collapsed pair and scaled copy false")
+                       "over 2 generic parameter sets: generic pair true; "
+                       "g=1 pair false; scaled copy false")
 
 
 def check_cauchy_constant(nodes: int = 64, **_) -> CheckResult:
-    prob = cauchy.CauchyProblem(alpha=-0.1, beta=-0.1, lam=0.0,
-                                tau_data=(2.5,), nu_data=())
+    c = 2.5
+    prob = cauchy.CauchyProblem(alpha=-0.1, beta=-0.1, lam=0.0, tau_data=(c,), nu_data=())
     u = cauchy.solve_point(prob, (0.3, 0.6), nodes)
-    dev = abs(u - 2.5)
-    u2 = cauchy.solve_point(prob, (0.3, 0.6), 2 * nodes)
-    stab = abs(u2 - u)
+    dev = abs(u - c)
+    stab = abs(cauchy.solve_point(prob, (0.3, 0.6), 2 * nodes) - u)
     ok = dev <= 1e-6 and stab <= 1e-8
-    return CheckResult("cauchy_constant", ok, max(dev, stab), 1e-6,
-                       f"constant data: |u - c| = {dev:.2e}, node doubling {stab:.2e}")
+    return CheckResult("cauchy_constant", ok, _finite(max(dev, stab)), 1e-6,
+                       f"constant data: |u - c| = {dev:.2e} <= 1e-6, "
+                       f"node-doubling change = {stab:.2e} <= 1e-8")
 
 
 def check_cauchy_trace(nodes: int = 64, **_) -> CheckResult:
     prob = cauchy.CauchyProblem(alpha=-0.1, beta=-0.1, lam=0.0,
                                 tau_data=(0.0, 1.0), nu_data=())
-    devs = cauchy.verify_trace(prob, 0.3, (1e-1, 3e-2, 1e-2, 3e-3), nodes)
-    vals = [d for _, d in devs]
-    ok = all(a > b for a, b in zip(vals, vals[1:])) and vals[-1] <= 1e-2
-    return CheckResult("cauchy_trace", ok, vals[-1], 1e-2,
-                       "deviations " + ", ".join(f"{v:.2e}" for v in vals))
+    devs = [d for _, d in cauchy.verify_trace(prob, 0.3, (1e-1, 3e-2, 1e-2, 3e-3), nodes)]
+    ok = all(a > b for a, b in zip(devs, devs[1:])) and devs[-1] <= 1e-2
+    return CheckResult("cauchy_trace", ok, _finite(devs[-1]), 1e-2,
+                       "deviations " + " > ".join(f"{v:.2e}" for v in devs)
+                       + ", final <= 1e-2")
 
 
 def check_quadrature_moments(**_) -> CheckResult:
     beta = -0.25
     tol = 1e-12
     worst = 0.0
-    for p1 in (beta, -beta):
-        nodes, weights = cauchy.jacobi_rule(5, p1, p1, 0.0, 1.0)
+    for p in (beta, -beta):
+        nodes, weights = cauchy.jacobi_rule(5, p, p, 0.0, 1.0)
         for j in range(10):
             got = float(sum(w * t**j for t, w in zip(nodes, weights)))
-            # integral of (1-t)^p1 t^(p1+j) over [0,1] = B(p1+j+1, p1+1)
-            ref = math.exp(math.lgamma(p1 + j + 1.0) + math.lgamma(p1 + 1.0)
-                           - math.lgamma(2.0 * p1 + j + 2.0))
-            worst = max(worst, abs(got - ref) / ref)
+            # integral of (1-t)^p t^(p+j) over [0,1] = B(p+j+1, p+1)
+            ref = math.exp(math.lgamma(p + j + 1.0) + math.lgamma(p + 1.0)
+                           - math.lgamma(2.0 * p + j + 2.0))
+            worst = max(worst, _rel_dev(got, ref))
     return CheckResult("quadrature_moments", worst <= tol, worst, tol,
-                       "Gauss-Jacobi moments vs Beta closed form, degrees 0..9")
+                       f"Gauss-Jacobi moments vs Beta closed form, degrees 0..9: "
+                       f"worst rel dev = {worst:.2e} <= {tol}")
 
 
 ALL_CHECKS = {

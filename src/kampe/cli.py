@@ -20,6 +20,7 @@ _COMMANDS = ("eval", "convergence", "residual", "solutions", "cauchy", "check")
 _FUNCTIONS = ("F1211", "F0211", "XI2")
 _PARAM_KEYS = {"F1211": "abcdefg", "F0211": "bcdeg", "XI2": "bce"}
 _GRID_LIMIT = 10**6
+_NODES_LIMIT = 4096
 
 
 def canonical_dumps(obj) -> str:
@@ -65,7 +66,24 @@ def _fail(path: str, expected: str):
 def _number(job, path: str, value) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         _fail(path, "expected a number")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        _fail(path, "expected a finite number")
+    return value
+
+
+def _integer(path: str, value, low: int | None = None, high: int | None = None) -> int:
+    """An integer (or integral float) field, optionally within [low, high]."""
+    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        _fail(path, "expected an integer")
+    if (low is not None and value < low) or (high is not None and value > high):
+        _fail(path, f"expected an integer in [{low}, {high}]")
+    return value
 
 
 def _points(job) -> list[tuple[float, float]]:
@@ -87,8 +105,9 @@ def _points(job) -> list[tuple[float, float]]:
         for key in ("x_min", "x_max", "nx", "y_min", "y_max", "ny"):
             if key not in g:
                 _fail(f"grid.{key}", "missing")
-        nx, ny = int(g["nx"]), int(g["ny"])
-        if nx < 1 or ny < 1 or nx * ny > _GRID_LIMIT:
+        nx = _integer("grid.nx", g["nx"], 1, _GRID_LIMIT)
+        ny = _integer("grid.ny", g["ny"], 1, _GRID_LIMIT)
+        if nx * ny > _GRID_LIMIT:
             _fail("grid", f"grid size must be in [1, {_GRID_LIMIT}]")
         x0, x1 = _number(job, "grid.x_min", g["x_min"]), _number(job, "grid.x_max", g["x_max"])
         y0, y1 = _number(job, "grid.y_min", g["y_min"]), _number(job, "grid.y_max", g["y_max"])
@@ -106,9 +125,10 @@ def _policy(job, args) -> series.TruncationPolicy:
     if "rel_tol" in raw:
         kwargs["rel_tol"] = _number(job, "policy.rel_tol", raw["rel_tol"])
     if "max_diagonal" in raw:
-        kwargs["max_diagonal"] = int(raw["max_diagonal"])
+        kwargs["max_diagonal"] = _integer("policy.max_diagonal", raw["max_diagonal"])
     if "consecutive_small" in raw:
-        kwargs["consecutive_small"] = int(raw["consecutive_small"])
+        kwargs["consecutive_small"] = _integer("policy.consecutive_small",
+                                               raw["consecutive_small"])
     if args.tol is not None:
         kwargs["rel_tol"] = args.tol
     if args.max_diagonal is not None:
@@ -117,6 +137,11 @@ def _policy(job, args) -> series.TruncationPolicy:
         return series.TruncationPolicy(**kwargs)
     except KampeError as exc:
         raise SchemaError(f"policy: {exc}") from exc
+
+
+def _nodes(job, args) -> int:
+    nodes = args.nodes if args.nodes is not None else job.get("nodes", 64)
+    return _integer("nodes", nodes, 1, _NODES_LIMIT)
 
 
 def _params(job, fn: str):
@@ -260,7 +285,7 @@ def _cmd_cauchy(job, args):
             nu_data=tuple(_number(job, f"problem.nu[{i}]", v) for i, v in enumerate(nu)))
     except KampeError as exc:
         raise SchemaError(f"problem: {exc}") from exc
-    nodes = args.nodes if args.nodes is not None else int(job.get("nodes", 64))
+    nodes = _nodes(job, args)
     policy = _policy(job, args)
     rows = []
     for (xi, eta) in _points(job):
@@ -270,8 +295,8 @@ def _cmd_cauchy(job, args):
 
 
 def _cmd_check(job, args):
-    seed = args.seed if args.seed is not None else int(job.get("seed", 42))
-    nodes = args.nodes if args.nodes is not None else int(job.get("nodes", 64))
+    seed = args.seed if args.seed is not None else _integer("seed", job.get("seed", 42))
+    nodes = _nodes(job, args)
     names = job.get("checks")
     if names is not None:
         if not isinstance(names, list):

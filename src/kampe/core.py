@@ -1,7 +1,7 @@
-"""Gamma-function utilities and Pochhammer (rising factorial) symbols.
+"""Gamma-function utilities and the falling factorial.
 
 All routines are double precision and total unless documented otherwise;
-nonpositive-integer bases are detected with an absolute tolerance of 1e-12
+nonpositive-integer arguments are detected with an absolute tolerance of 1e-12
 because parameters normally arrive from user input where exact integers
 are intended.
 """
@@ -13,7 +13,6 @@ import math
 from .errors import PoleError
 
 _INT_TOL = 1e-12
-_DIRECT_ORDER = 32
 
 
 def _as_nonpositive_int(x: float) -> int | None:
@@ -40,61 +39,6 @@ def _signed_loggamma(x: float) -> tuple[float, int]:
     return logabs, (1 if s > 0 else -1)
 
 
-def pochhammer(base: float, order: int) -> float:
-    """Rising factorial (base)_order = base (base+1) ... (base+order-1).
-
-    (base)_0 = 1; the product is exactly 0 when base is a nonpositive
-    integer with |base| < order.  Total: never raises.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if order == 0:
-        return 1.0
-    nb = _as_nonpositive_int(base)
-    if nb is not None:
-        if -nb < order:
-            return 0.0
-        base = float(nb)  # snap to the intended integer
-    if order <= _DIRECT_ORDER:
-        p = 1.0
-        for j in range(order):
-            p *= base + j
-        return p
-    logmag, sign = log_pochhammer(base, order)
-    if sign == 0:
-        return 0.0
-    return sign * math.exp(logmag)
-
-
-def log_pochhammer(base: float, order: int) -> tuple[float, int]:
-    """Overflow-safe rising factorial: (log|(base)_order|, sign).
-
-    sign is 0 exactly when the product vanishes (terminating case),
-    with log magnitude -inf.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if order == 0:
-        return 0.0, 1
-    nb = _as_nonpositive_int(base)
-    if nb is not None:
-        if -nb < order:
-            return -math.inf, 0
-        base = float(nb)
-    if order <= _DIRECT_ORDER:
-        logmag = 0.0
-        sign = 1
-        for j in range(order):
-            f = base + j
-            if f < 0.0:
-                sign = -sign
-            logmag += math.log(abs(f))
-        return logmag, sign
-    ln, sn = _signed_loggamma(base + order)
-    ld, sd = _signed_loggamma(base)
-    return ln - ld, sn * sd
-
-
 def gamma_ratio(num: float, den: float) -> float:
     """Gamma(num) / Gamma(den) via log-gamma differences.
 
@@ -107,3 +51,14 @@ def gamma_ratio(num: float, den: float) -> float:
     ln, sn = _signed_loggamma(num)
     ld, sd = _signed_loggamma(den)
     return sn * sd * math.exp(ln - ld)
+
+
+def falling(base, k: int):
+    """Falling factorial base (base-1) ... (base-k+1); 1 for k = 0.
+
+    Duck-typed: exact for Fraction and int bases, double precision for floats.
+    """
+    out = 1
+    for i in range(k):
+        out = out * (base - i)
+    return out

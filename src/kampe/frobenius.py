@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import is_nonpositive_int
+from .core import falling, is_nonpositive_int
 from .errors import DegenerateError, DomainError
 from .named import ParamsF0211, ParamsF1211, shape_f0211, shape_f1211
 from .series import (DEFAULT_POLICY, KdFShape, SeriesResult, TruncationPolicy,
@@ -93,13 +93,6 @@ def eval_solution(sol: Solution, point,
                         abs(pref) * res.tail_estimate, res.status)
 
 
-def _falling(base: float, k: int) -> float:
-    out = 1.0
-    for i in range(k):
-        out *= base - i
-    return out
-
-
 def solution_derivative(sol: Solution, point, dx: int, dy: int,
                         policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """(dx, dy) partial of the prefactored solution by the Leibniz rule.
@@ -112,11 +105,11 @@ def solution_derivative(sol: Solution, point, dx: int, dy: int,
     tau, nu = sol.exponents.tau, sol.exponents.nu
     total = 0.0
     for p in range(dx + 1):
-        ftau = _falling(tau, p)
+        ftau = falling(tau, p)
         if ftau == 0.0:
             continue
         for q in range(dy + 1):
-            fnu = _falling(nu, q)
+            fnu = falling(nu, q)
             if fnu == 0.0:
                 continue
             pref = (math.comb(dx, p) * math.comb(dy, q) * ftau * fnu

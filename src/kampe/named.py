@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .core import is_nonpositive_int
 from .errors import ShapeError
-from .series import DEFAULT_POLICY, KdFShape, SeriesResult, TruncationPolicy, kdf_eval
+from .series import KdFShape
 
 
 @dataclass(frozen=True)
@@ -70,18 +70,3 @@ def shape_xi2(params: ParamsXi2) -> KdFShape:
     return KdFShape(upper_joint=(), upper_x=(params.b, params.c),
                     upper_y=(), lower_joint=(params.e,),
                     lower_x=(), lower_y=())
-
-
-def eval_f1211(params: ParamsF1211, point,
-               policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
-    return kdf_eval(shape_f1211(params), point, policy)
-
-
-def eval_f0211(params: ParamsF0211, point,
-               policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
-    return kdf_eval(shape_f0211(params), point, policy)
-
-
-def eval_xi2(params: ParamsXi2, point,
-             policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
-    return kdf_eval(shape_xi2(params), point, policy)

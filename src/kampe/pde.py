@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .core import falling
 from .errors import DomainError, NegativePowerError
 from .named import ParamsF0211, ParamsF1211
 
@@ -220,13 +221,6 @@ def substituted_system_f1211(params: ParamsF1211, tau, nu) -> PdeSystem:
     return PdeSystem((eq1, eq2))
 
 
-def _falling(base, k: int):
-    out = 1
-    for i in range(k):
-        out = out * (base - i)
-    return out
-
-
 def _check_powers(action: Poly2) -> Poly2:
     cleaned = {key: c for key, c in action.items() if c != 0}
     for (i, j) in cleaned:
@@ -238,7 +232,7 @@ def _check_powers(action: Poly2) -> Poly2:
 def _pde_equation_action(eq: PdeEquation, r, s) -> Poly2:
     out: Poly2 = {}
     for term in eq.terms:
-        ff = _falling(r, term.dx) * _falling(s, term.dy)
+        ff = falling(r, term.dx) * falling(s, term.dy)
         if ff == 0:
             continue
         for (px, py), c in term.coeff.items():

@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
-from .core import is_nonpositive_int, log_pochhammer, pochhammer
+from .core import is_nonpositive_int
 from .errors import DivergenceError, ParameterError, PoleError
 
 _MAX_GROUP = 8
-_LOG_TERM_CUTOFF = 120  # single-term evaluation switches to log space past this diagonal
 
 
 @dataclass(frozen=True)
@@ -184,67 +183,6 @@ def validate_shape(shape: KdFShape) -> ValidationReport:
     return ValidationReport(ok=not undefined, undefined=undefined,
                             terminates_x=tx, terminates_y=ty, terminates_joint=tj,
                             messages=tuple(messages))
-
-
-def _prod_poch(params, order: int) -> float:
-    p = 1.0
-    for a in params:
-        p *= pochhammer(a, order)
-        if p == 0.0:
-            return 0.0
-    return p
-
-
-def kdf_term(shape: KdFShape, r: int, s: int, point) -> float:
-    """Single series term at (r, s); log-space past diagonal 120.
-
-    A vanished numerator factor wins over a vanished denominator factor
-    (the term belongs to a terminated tail and contributes 0); an
-    unprotected vanished denominator raises PoleError.
-    """
-    x, y = point
-    if r + s <= _LOG_TERM_CUTOFF:
-        num = (_prod_poch(shape.upper_joint, r + s)
-               * _prod_poch(shape.upper_x, r) * _prod_poch(shape.upper_y, s))
-        den = (_prod_poch(shape.lower_joint, r + s)
-               * _prod_poch(shape.lower_x, r) * _prod_poch(shape.lower_y, s))
-        if num == 0.0:
-            return 0.0
-        if den == 0.0:
-            raise PoleError(f"lower Pochhammer factor vanishes at (r, s) = ({r}, {s})")
-        val = num / den * x**r / math.factorial(r) * y**s / math.factorial(s)
-        if math.isfinite(val):
-            return val
-    # log-space fallback
-    logmag, sign = 0.0, 1
-    for params, order in ((shape.upper_joint, r + s), (shape.upper_x, r), (shape.upper_y, s)):
-        for a in params:
-            lm, sg = log_pochhammer(a, order)
-            logmag += lm
-            sign *= sg
-    if sign == 0:
-        return 0.0
-    for params, order in ((shape.lower_joint, r + s), (shape.lower_x, r), (shape.lower_y, s)):
-        for a in params:
-            lm, sg = log_pochhammer(a, order)
-            if sg == 0:
-                raise PoleError(f"lower Pochhammer factor vanishes at (r, s) = ({r}, {s})")
-            logmag -= lm
-            sign *= sg
-    if x == 0.0 and r > 0:
-        return 0.0
-    if y == 0.0 and s > 0:
-        return 0.0
-    if x < 0.0 and r % 2:
-        sign = -sign
-    if y < 0.0 and s % 2:
-        sign = -sign
-    if x != 0.0:
-        logmag += r * math.log(abs(x))
-    if y != 0.0:
-        logmag += s * math.log(abs(y))
-    logmag -= math.lgamma(r + 1) + math.lgamma(s + 1)
-    return sign * math.exp(logmag)
 
 
 class _RatioSeqs:

@@ -1,14 +1,14 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately written as plain loops over the series
-definitions (or exact rational arithmetic), sharing no code with the
-library's diagonal-recursion, parameter-shift, or quadrature paths.
+definitions, sharing no code with the library's diagonal-recursion,
+parameter-shift, or quadrature paths.  The one-variable and double-sum
+oracles are shared with the acceptance criteria and live in `kampe.checks`.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
+from kampe.checks import hyp1d, shape_double_sum  # noqa: F401
 
 
 def poch_direct(a: float, n: int) -> float:
@@ -16,88 +16,6 @@ def poch_direct(a: float, n: int) -> float:
     for j in range(n):
         p *= a + j
     return p
-
-
-def log_poch_exact(a_num: int, a_den: int, n: int) -> float:
-    """log of the rising factorial of the exact rational a_num/a_den."""
-    p = Fraction(1)
-    for j in range(n):
-        p *= Fraction(a_num, a_den) + j
-    return math.log(p.numerator) - math.log(p.denominator)
-
-
-def hyp1d(uppers, lowers, x: float, n_terms: int = 500) -> float:
-    """sum_m prod(u)_m / prod(l)_m * x^m / m! by direct term recursion."""
-    term, total = 1.0, 1.0
-    for m in range(n_terms):
-        for u in uppers:
-            term *= u + m
-        for low in lowers:
-            term /= low + m
-        term *= x / (m + 1)
-        total += term
-        if abs(term) < 1e-18 * max(abs(total), 1e-300):
-            break
-    return total
-
-
-def kdf_double_sum(upper_joint, upper_x, upper_y, lower_joint, lower_x, lower_y,
-                   x: float, y: float, rmax: int = 64, smax: int = 64,
-                   wx: int = 0, wy: int = 0) -> float:
-    """Brute-force double sum; wx/wy > 0 differentiate term-wise that many times.
-
-    Numerator and denominator Pochhammers are interleaved so intermediate
-    products stay inside double range for the order caps used here.
-    """
-    uppers = ([(a, "j") for a in upper_joint] + [(a, "x") for a in upper_x]
-              + [(a, "y") for a in upper_y])
-    lowers = ([(a, "j") for a in lower_joint] + [(a, "x") for a in lower_x]
-              + [(a, "y") for a in lower_y])
-    total = 0.0
-    for r in range(wx, rmax):
-        for s in range(wy, smax):
-            order = {"j": r + s, "x": r, "y": s}
-            term = x ** (r - wx) * y ** (s - wy) / math.factorial(r) / math.factorial(s)
-            for i in range(wx):
-                term *= r - i
-            for i in range(wy):
-                term *= s - i
-            for (up, kind_u), (lo, kind_l) in zip(uppers, lowers):
-                term *= poch_direct(up, order[kind_u])
-                term /= poch_direct(lo, order[kind_l])
-            for up, kind in uppers[len(lowers):]:
-                term *= poch_direct(up, order[kind])
-            for lo, kind in lowers[len(uppers):]:
-                term /= poch_direct(lo, order[kind])
-            total += term
-    return total
-
-
-def shape_double_sum(shape, x, y, **kw):
-    return kdf_double_sum(shape.upper_joint, shape.upper_x, shape.upper_y,
-                          shape.lower_joint, shape.lower_x, shape.lower_y,
-                          x, y, **kw)
-
-
-def axis_term_ratio(shape, axis: str, order: int = 300) -> float:
-    """Limit of successive term magnitude ratios along one axis.
-
-    Tends to 1/radius of the axis series: 0 for entire, about 1 for unit
-    radius, growing without bound for an empty region.
-    """
-    if axis == "x":
-        uppers = list(shape.upper_joint) + list(shape.upper_x)
-        lowers = list(shape.lower_joint) + list(shape.lower_x)
-    else:
-        uppers = list(shape.upper_joint) + list(shape.upper_y)
-        lowers = list(shape.lower_joint) + list(shape.lower_y)
-    m = order
-    ratio = 1.0
-    for a in uppers:
-        ratio *= a + m
-    for a in lowers:
-        ratio /= a + m
-    return abs(ratio / (m + 1))
 
 
 # --- exact solutions of the degenerate hyperbolic equation -----------------

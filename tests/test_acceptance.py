@@ -1,24 +1,16 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-Run as `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
+The criteria are defined once, in `kampe.checks`, and also run by the CLI
+`check` command.  Criterion 5 runs the shared residual measurement over its
+full parameter sweep here.  Run as `pytest tests/test_acceptance.py -v -s`
+to see the per-criterion lines.
 """
 
-import dataclasses
 import math
-import random
-from fractions import Fraction
 
-import pytest
-
-import kampe
-from kampe import (CauchyProblem, KdFShape, ParamsF0211, ParamsF1211, ParamsXi2,
-                   TruncationPolicy, euler_system, expanded_system_f0211,
-                   expanded_system_f1211, independence_check, indicial_roots,
-                   jacobi_rule, kdf_eval, kdf_eval_derivative, monomial_action,
-                   residual, shape_f0211, shape_f1211, shape_xi2,
-                   solution_evaluator, solution_pair_f0211, solution_pair_f1211,
-                   solve_point, validate_shape, verify_trace)
-from oracles import hyp1d, shape_double_sum
+from kampe import (ParamsF0211, ParamsF1211, TruncationPolicy, checks,
+                   expanded_system_f0211, expanded_system_f1211, solution_pair_f0211,
+                   solution_pair_f1211)
 
 
 def _report(num: int, name: str, passed: bool, detail: str = ""):
@@ -27,101 +19,25 @@ def _report(num: int, name: str, passed: bool, detail: str = ""):
     assert passed, f"criterion {num} ({name}) failed: {detail}"
 
 
+def _criterion(num: int, name: str, check: str):
+    (result,) = checks.run_checks([check])
+    _report(num, name, result.passed, result.detail)
+
+
 def test_criterion_1_origin_normalization():
-    rng = random.Random(42)
-
-    def group(max_len):
-        return tuple(round(rng.uniform(0.2, 2.5), 3) for _ in range(rng.randint(0, max_len)))
-
-    worst = 0.0
-    count = 0
-    while count < 50:
-        sh = KdFShape(upper_joint=group(2), upper_x=group(2), upper_y=group(2),
-                      lower_joint=group(2) or (1.5,), lower_x=group(1), lower_y=group(1))
-        if not validate_shape(sh).ok:
-            continue
-        count += 1
-        worst = max(worst, abs(kdf_eval(sh, (0.0, 0.0)).value - 1.0))
-    _report(1, "origin normalization", worst == 0.0, f"worst |value-1| = {worst:.1e}, exact")
+    _criterion(1, "origin normalization", "origin_normalization")
 
 
 def test_criterion_2_reduction_suite():
-    rng = random.Random(43)
-    tol = 1e-12
-    worst = 0.0
-    xs = [rng.uniform(-0.5, 0.5) for _ in range(5)]
-    ys = [rng.uniform(-2.0, 2.0) for _ in range(5)]
-    for x, y in zip(xs, ys):
-        b, c, d = rng.uniform(0.2, 1.5), rng.uniform(0.2, 1.5), rng.uniform(0.2, 1.5)
-        a = rng.uniform(0.2, 1.5)
-        e, f, g = rng.uniform(1.1, 2.2), rng.uniform(1.1, 2.2), rng.uniform(1.1, 2.2)
-        v = kdf_eval(shape_f0211(ParamsF0211(b, c, d, e, g)), (x, 0.0)).value
-        worst = max(worst, abs(v - hyp1d((b, c), (e,), x)) / abs(hyp1d((b, c), (e,), x)))
-        v = kdf_eval(shape_f1211(ParamsF1211(a, b, c, d, e, f, g)), (x, 0.0)).value
-        ref = hyp1d((a, b, c), (e, f), x)
-        worst = max(worst, abs(v - ref) / abs(ref))
-        v = kdf_eval(shape_f0211(ParamsF0211(b, c, g, e, g)), (x, y)).value
-        ref = kdf_eval(shape_xi2(ParamsXi2(b, c, e)), (x, y)).value
-        worst = max(worst, abs(v - ref) / max(abs(ref), 1e-300))
-    _report(2, "reduction suite", worst <= tol, f"worst rel dev = {worst:.2e} <= {tol}")
+    _criterion(2, "reduction suite", "reductions")
 
 
 def test_criterion_3_derivative_correctness():
-    rng = random.Random(44)
-    shapes = {
-        "fourth-order": shape_f1211(ParamsF1211(0.4, 0.8, 0.5, 0.9, 1.3, 1.8, 1.1)),
-        "third-order": shape_f0211(ParamsF0211(0.8, 0.5, 0.9, 1.3, 1.1)),
-        "humbert": shape_xi2(ParamsXi2(0.8, 0.5, 1.3)),
-    }
-    worst_term = 0.0
-    worst_fd = 0.0
-    for sh in shapes.values():
-        for _ in range(10):
-            x, y = rng.uniform(0.05, 0.45), rng.uniform(0.05, 0.45)
-            for dx, dy in ((1, 0), (0, 1), (1, 1)):
-                got = kdf_eval_derivative(sh, (x, y), dx, dy).value
-                ref = shape_double_sum(sh, x, y, wx=dx, wy=dy)
-                worst_term = max(worst_term, abs(got - ref) / abs(ref))
-            h = 1e-5
-            for dx, dy in ((1, 0), (0, 1)):
-                got = kdf_eval_derivative(sh, (x, y), dx, dy).value
-                fd = (kdf_eval(sh, (x + dx * h, y + dy * h)).value
-                      - kdf_eval(sh, (x - dx * h, y - dy * h)).value) / (2 * h)
-                worst_fd = max(worst_fd, abs(got - fd) / abs(fd))
-    ok = worst_term <= 1e-10 and worst_fd <= 1e-6
-    _report(3, "derivative correctness", ok,
-            f"term-wise {worst_term:.2e} <= 1e-10, finite-diff {worst_fd:.2e} <= 1e-6")
+    _criterion(3, "derivative correctness", "derivative_shift")
 
 
 def test_criterion_4_operator_expansion_equivalence():
-    param_sets = [
-        tuple(Fraction(n, d) for n, d in
-              ((1, 2), (3, 4), (2, 3), (5, 4), (7, 5), (9, 7), (4, 3))),
-        tuple(Fraction(n, d) for n, d in
-              ((1, 3), (2, 5), (5, 6), (7, 6), (11, 8), (13, 9), (3, 2))),
-        tuple(Fraction(n, 1) for n in (2, 1, 3, 1, 4, 3, 2)),
-    ]
-    mismatches = []
-    for values in param_sets:
-        a, b, c, d, e, f, g = values
-        pf = ParamsF1211(a, b, c, d, e, f, g)
-        p0 = ParamsF0211(b, c, d, e, g)
-        systems = (("F1211", expanded_system_f1211(pf), euler_system("F1211", pf)),
-                   ("F0211", expanded_system_f0211(p0), euler_system("F0211", p0)))
-        for r in range(1, 7):
-            for s in range(1, 7):
-                for kind, expanded, euler in systems:
-                    want = monomial_action(expanded, r, s)
-                    got = monomial_action(euler, r, s)
-                    for i, (weq, geq) in enumerate(zip(want, got)):
-                        if weq != geq:
-                            keys = set(weq) | set(geq)
-                            diffs = {k: (geq.get(k, 0), weq.get(k, 0))
-                                     for k in keys if geq.get(k, 0) != weq.get(k, 0)}
-                            mismatches.append(f"{kind} eq{i+1} at ({r},{s}): {diffs}")
-    _report(4, "operator/expansion equivalence", not mismatches,
-            "exact over 3 rational parameter sets, r,s in 1..6"
-            + ("; " + "; ".join(mismatches[:3]) if mismatches else ""))
+    _criterion(4, "operator/expansion equivalence", "operator_equivalence")
 
 
 def test_criterion_5_solution_verification():
@@ -129,107 +45,56 @@ def test_criterion_5_solution_verification():
     policy = TruncationPolicy(rel_tol=1e-11)
     grid = [(x, y) for x in (0.05, 0.1667, 0.2833, 0.4)
             for y in (0.05, 0.1667, 0.2833, 0.4)]
-    worst = 0.0
-    worst_at = ""
-    vals = (0.3, 0.7)
-    efs = (1.2, 1.7)
-    gs = (0.4, 1.6)
-    n_sets = 0
-    for a in vals:
-        for b in vals:
-            for c in vals:
-                for d in vals:
-                    for e in efs:
-                        for f in efs:
-                            for g in gs:
-                                params = ParamsF1211(a, b, c, d, e, f, g)
-                                system = expanded_system_f1211(params)
-                                n_sets += 1
-                                for sol in solution_pair_f1211(params):
-                                    ev = solution_evaluator(sol, policy)
-                                    for pt in grid:
-                                        for i, res in enumerate(residual(system, ev, pt)):
-                                            ratio = abs(res.value) / max(res.scale, 1e-300)
-                                            if ratio > worst:
-                                                worst = ratio
-                                                worst_at = f"F1211{params} eq{i+1} at {pt}"
-    for b in vals:
-        for c in vals:
-            for d in vals:
-                for e in efs:
-                    for g in gs:
-                        params = ParamsF0211(b, c, d, e, g)
-                        system = expanded_system_f0211(params)
-                        n_sets += 1
-                        for sol in solution_pair_f0211(params):
-                            ev = solution_evaluator(sol, policy)
-                            for pt in grid:
-                                for i, res in enumerate(residual(system, ev, pt)):
-                                    ratio = abs(res.value) / max(res.scale, 1e-300)
-                                    if ratio > worst:
-                                        worst = ratio
-                                        worst_at = f"F0211{params} eq{i+1} at {pt}"
+    vals, efs, gs = (0.3, 0.7), (1.2, 1.7), (0.4, 1.6)
+    cases = [(f"F1211{p}", expanded_system_f1211(p), solution_pair_f1211(p))
+             for p in (ParamsF1211(a, b, c, d, e, f, g)
+                       for a in vals for b in vals for c in vals for d in vals
+                       for e in efs for f in efs for g in gs)]
+    cases += [(f"F0211{p}", expanded_system_f0211(p), solution_pair_f0211(p))
+              for p in (ParamsF0211(b, c, d, e, g)
+                        for b in vals for c in vals for d in vals
+                        for e in efs for g in gs)]
+    worst, worst_at = 0.0, ""
+    for label, system, pair in cases:
+        ratio, (eq, pt) = checks.worst_residual(system, pair, grid, policy)
+        if ratio > worst:
+            worst, worst_at = ratio, f"{label} eq{eq} at {pt}"
     _report(5, "solution verification", worst <= tol,
-            f"worst |residual|/scale = {worst:.2e} <= {tol} over {n_sets} parameter "
+            f"worst |residual|/scale = {worst:.2e} <= {tol} over {len(cases)} parameter "
             f"sets ({worst_at})")
 
 
 def test_criterion_6_indicial_roots():
-    rng = random.Random(45)
-    worst = 0.0
-    for _ in range(100):
-        g = rng.uniform(-3.0, 3.0)
-        roots = indicial_roots(g)
-        assert len(roots) == 2
-        assert roots[0].nu == 0.0
-        assert roots[1].nu == pytest.approx(1.0 - g, abs=1e-14)
-        for r in roots:
-            worst = max(worst, abs(r.tau), abs(r.nu * (r.nu + g - 1.0)))
-    _report(6, "indicial roots", worst <= 1e-14, f"worst defect = {worst:.1e} <= 1e-14")
+    _criterion(6, "indicial roots", "indicial_roots")
 
 
 def test_criterion_7_independence():
-    pts = [(0.1, 0.2), (0.2, 0.15), (0.15, 0.3), (0.25, 0.1), (0.3, 0.3)]
-    generic = ParamsF0211(0.3, 0.7, 0.7, 1.2, 0.4)
-    u1, u2 = solution_pair_f0211(generic)
-    ok = independence_check(u1, u2, pts) is True
-    v1, v2 = solution_pair_f0211(dataclasses.replace(generic, g=1.0))
-    ok = ok and independence_check(v1, v2, pts) is False
-    ok = ok and independence_check(u1, dataclasses.replace(u1, scale=3.0), pts) is False
-    _report(7, "independence", ok, "generic true; g=1 false; scaled copy false")
+    _criterion(7, "independence", "independence")
 
 
 def test_criterion_8_cauchy_constant_solution():
-    c = 2.5
-    prob = CauchyProblem(alpha=-0.1, beta=-0.1, lam=0.0, tau_data=(c,), nu_data=())
-    u64 = solve_point(prob, (0.3, 0.6), 64)
-    dev = abs(u64 - c)
-    u128 = solve_point(prob, (0.3, 0.6), 128)
-    stab = abs(u128 - u64)
-    ok = dev <= 1e-6 and stab <= 1e-8
-    _report(8, "cauchy constant solution", ok,
-            f"|u - c| = {dev:.2e} <= 1e-6, node-doubling change = {stab:.2e} <= 1e-8")
+    _criterion(8, "cauchy constant solution", "cauchy_constant")
 
 
 def test_criterion_9_cauchy_trace():
-    prob = CauchyProblem(alpha=-0.1, beta=-0.1, lam=0.0, tau_data=(0.0, 1.0), nu_data=())
-    devs = [d for _, d in verify_trace(prob, 0.3, (1e-1, 3e-2, 1e-2, 3e-3), 64)]
-    monotone = all(a > b for a, b in zip(devs, devs[1:]))
-    ok = monotone and devs[-1] <= 1e-2
-    _report(9, "cauchy trace recovery", ok,
-            "deviations " + " > ".join(f"{v:.2e}" for v in devs) + ", final <= 1e-2")
+    _criterion(9, "cauchy trace recovery", "cauchy_trace")
 
 
 def test_criterion_10_quadrature_exactness():
-    beta = -0.25
-    tol = 1e-12
-    worst = 0.0
-    for p in (beta, -beta):
-        nodes, weights = jacobi_rule(5, p, p, 0.0, 1.0)
-        for j in range(10):
-            got = float(sum(w * t**j for t, w in zip(nodes, weights)))
-            ref = math.exp(math.lgamma(p + j + 1.0) + math.lgamma(p + 1.0)
-                           - math.lgamma(2.0 * p + j + 2.0))
-            worst = max(worst, abs(got - ref) / ref)
-    _report(10, "quadrature exactness", worst <= tol,
-            f"worst rel dev vs Beta moments = {worst:.2e} <= {tol}")
+    _criterion(10, "quadrature exactness", "quadrature_moments")
+
+
+def test_derivative_oracle_finite_and_nan_fails(monkeypatch):
+    seen = []
+    oracle = checks.shape_double_sum
+
+    def recording(*args, **kwargs):
+        seen.append(oracle(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(checks, "shape_double_sum", recording)
+    assert checks.check_derivative_shift().passed
+    assert len(seen) == 90 and all(math.isfinite(v) for v in seen)
+    monkeypatch.setattr(checks, "shape_double_sum", lambda *args, **kwargs: math.nan)
+    result = checks.check_derivative_shift()
+    assert not result.passed and result.worst == math.inf

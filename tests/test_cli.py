@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import pytest
 
@@ -138,6 +139,29 @@ def test_schema_errors(capsys, monkeypatch):
     code, out = run_cli(capsys, monkeypatch, job)
     assert code == 2
     assert "points" in json.loads(out)["message"]
+
+    # bad integer fields, non-finite numbers and an oversized node count are
+    # schema errors; each job fails validation before any series is summed
+    cauchy = {"command": "cauchy", "problem": {"alpha": -0.1, "beta": -0.1, "tau": [1.0]}}
+    grid = {"x_min": 0.1, "x_max": 0.2, "nx": "a", "y_min": 0.1, "y_max": 0.2, "ny": 2}
+    for job, path in (
+            ({**job, "grid": grid}, "grid.nx"),
+            ({**job, "points": [[0.1, 0.1]], "policy": {"max_diagonal": None}},
+             "policy.max_diagonal"),
+            ({**job, "points": [[0.1, 0.1]], "policy": {"consecutive_small": 1.5}},
+             "policy.consecutive_small"),
+            ({**job, "points": [[math.nan, 0.1]]}, "points[0][0]"),
+            ({**job, "points": [[0.1, 0.1]], "params": {**job["params"], "b": math.inf}},
+             "params.b"),
+            ({**cauchy, "nodes": "x"}, "nodes"),
+            ({**cauchy, "nodes": 4097}, "nodes"),
+            ({"command": "check", "nodes": 0}, "nodes")):
+        code, out = run_cli(capsys, monkeypatch, job)
+        assert code == 2, job
+        assert json.loads(out)["message"].startswith(path + ":"), out
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"command": "check", "seed": 1.5e400}'))
+    assert main([]) == 2
+    assert json.loads(capsys.readouterr().out)["message"].startswith("seed:")
 
 
 def test_grid_limit(capsys, monkeypatch):

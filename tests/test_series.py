@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from kampe import (DivergenceError, KdFShape, ParamsF0211, ParamsXi2, PoleError,
                    SeriesStatus, TruncationPolicy, classify_convergence,
                    in_region, kdf_derivative_shape, kdf_eval,
-                   kdf_eval_derivative, kdf_term, shape_f0211, shape_f1211,
+                   kdf_eval_derivative, shape_f0211, shape_f1211,
                    shape_xi2, validate_shape, ParamsF1211)
 from oracles import hyp1d, shape_double_sum
 
@@ -48,43 +48,35 @@ def test_validate_protected_pole():
     assert not validate_shape(sh).ok
 
 
-# --- terms ------------------------------------------------------------------
+# --- coefficients: the (r, s) derivative at the origin is r! s! * coefficient ---
 
 def test_term_at_origin_is_one():
     for sh in (F1211_ONES, XI2, F0211):
-        assert kdf_term(sh, 0, 0, (0.7, -0.3)) == 1.0
+        assert kdf_eval_derivative(sh, (0.0, 0.0), 0, 0).value == 1.0
 
 
 def test_term_xi2_first_x_term():
     sh = shape_xi2(ParamsXi2(0.7, 1.1, 1.4))
-    assert kdf_term(sh, 1, 0, (0.5, 0.0)) == pytest.approx(0.7 * 1.1 / 1.4 * 0.5, rel=1e-15)
+    got = kdf_eval_derivative(sh, (0.0, 0.0), 1, 0).value
+    assert got == pytest.approx(0.7 * 1.1 / 1.4, rel=1e-15)
 
 
 def test_term_f1211_ones_at_1_1():
-    # hand expansion: (1)_2 / ((2)_2 (2)_2 (2)_1) * x y = 2/72 * 0.0625
-    got = kdf_term(F1211_ONES, 1, 1, (0.25, 0.25))
-    assert got == pytest.approx(1.0 / 576.0, rel=1e-15)
+    # hand expansion: (1)_2 / ((2)_2 (2)_2 (2)_1) = 2/72
+    got = kdf_eval_derivative(F1211_ONES, (0.0, 0.0), 1, 1).value
+    assert got == pytest.approx(1.0 / 36.0, rel=1e-15)
 
 
 def test_term_f1211_ones_at_2_0():
-    got = kdf_term(F1211_ONES, 2, 0, (0.5, 0.9))
-    assert got == pytest.approx(1.0 / 36.0, rel=1e-15)
+    # (1)_2 (1)_2 (1)_2 / ((2)_2 (2)_2 2!) = 1/9
+    got = kdf_eval_derivative(F1211_ONES, (0.0, 0.0), 2, 0).value
+    assert got == pytest.approx(math.factorial(2) / 9.0, rel=1e-15)
 
 
 def test_term_pole_raises():
     sh = KdFShape(upper_x=(0.5,), lower_x=(-2.0,))
     with pytest.raises(PoleError):
-        kdf_term(sh, 3, 0, (0.5, 0.5))
-
-
-def test_term_log_space_large_order():
-    # past the log cutoff the two paths must agree smoothly
-    sh = XI2
-    lo = kdf_term(sh, 100, 20, (0.9, 1.5))
-    hi = kdf_term(sh, 121, 20, (0.9, 1.5))  # forced log path
-    assert math.isfinite(lo) and math.isfinite(hi)
-    ratio = kdf_term(sh, 120, 20, (0.9, 1.5)) / kdf_term(sh, 119, 20, (0.9, 1.5))
-    assert abs(ratio) < 1.0
+        kdf_eval_derivative(sh, (0.0, 0.0), 3, 0)
 
 
 # --- evaluation -------------------------------------------------------------
