@@ -18,9 +18,10 @@ from .pde import (EquationResidual, EulerSystem, PdeEquation, PdeSystem,
                   expanded_system_f1211, monomial_action, residual,
                   substituted_system_f1211, substitution_defect_f1211,
                   systems_equal)
-from .series import (DEFAULT_POLICY, ConvergenceRegion, KdFShape, SeriesResult,
-                     SeriesStatus, TruncationPolicy, ValidationReport,
+from .series import (DEFAULT_POLICY, ConvergenceRegion, KdFShape, PointsResult,
+                     SeriesResult, SeriesStatus, TruncationPolicy, ValidationReport,
                      classify_convergence, in_region, kdf_derivative_shape,
-                     kdf_eval, kdf_eval_derivative, validate_shape)
+                     kdf_eval, kdf_eval_derivative, kdf_eval_points,
+                     validate_shape)
 
 __version__ = "0.1.0"

@@ -29,13 +29,14 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import roots_jacobi
 
 from .core import gamma_ratio, is_nonpositive_int
 from .errors import ConvergenceWarning, DomainError, ParameterError, PoleError
 from .named import ParamsF0211, ParamsXi2, shape_f0211, shape_xi2
-from .series import (DEFAULT_POLICY, SeriesStatus, TruncationPolicy, kdf_eval,
-                     kdf_eval_derivative)
+from .series import (DEFAULT_POLICY, PointsResult, SeriesStatus, TruncationPolicy,
+                     kdf_derivative_shape, kdf_eval_points)
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,9 @@ class CauchyProblem:
     def __post_init__(self):
         object.__setattr__(self, "tau_data", tuple(float(c) for c in self.tau_data))
         object.__setattr__(self, "nu_data", tuple(float(c) for c in self.nu_data))
+        if not all(math.isfinite(v) for v in (self.alpha, self.beta, self.lam,
+                                              *self.tau_data, *self.nu_data)):
+            raise DomainError("alpha, beta, lambda and the data must be finite")
         if not (-0.5 < self.beta <= self.alpha <= 0.0):
             raise DomainError(
                 f"need -1/2 < beta <= alpha <= 0, got beta={self.beta}, alpha={self.alpha}")
@@ -67,10 +71,12 @@ def poly_derivative(coeffs) -> tuple[float, ...]:
     return tuple(k * coeffs[k] for k in range(1, len(coeffs)))
 
 
-def _check_t(xi: float, eta: float, t: float) -> None:
-    if not (xi <= t <= eta) or t <= 0.0 or eta + xi <= 0.0:
+def _check_t(xi: float, eta: float, t) -> None:
+    if not (np.all((xi <= t) & (t <= eta) & (t > 0.0)) and eta + xi > 0.0):
         raise DomainError(f"t = {t} outside [{xi}, {eta}] or nonpositive")
 
+
+# sigma, rho and dsigma_dt take one abscissa t or an array of them.
 
 def sigma(xi: float, eta: float, t: float) -> float:
     """(eta - t)(t - xi) / (2 t (eta + xi)); zero at both endpoints."""
@@ -115,30 +121,40 @@ def _kernel_shape(problem: CauchyProblem):
 def h_kernel(problem: CauchyProblem, xi: float, eta: float, t: float,
              policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """Kernel of the tau-weighted integral at quadrature abscissa t."""
-    h, _f, _ok = _kernel_parts(problem, xi, eta, t, policy)
-    return h
+    h, _f, _ok = _tau_kernel(problem, xi, eta, np.array([t], dtype=float), policy)
+    return float(h[0])
 
 
-def _kernel_parts(problem: CauchyProblem, xi: float, eta: float, t: float,
-                  policy: TruncationPolicy) -> tuple[float, float, bool]:
-    """(H, F, all interior series converged) for one abscissa."""
-    if not (xi < t < eta):
+def _converged(res: PointsResult) -> bool:
+    return all(st in (SeriesStatus.CONVERGED, SeriesStatus.TERMINATING)
+               for st in res.statuses)
+
+
+def _tau_kernel(problem: CauchyProblem, xi: float, eta: float, t: np.ndarray,
+                policy: TruncationPolicy) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(H, F, all three series converged) at the abscissae t.
+
+    F, dF/dsigma and dF/drho are each one `kdf_eval_points` sweep over all
+    abscissae; the derivatives are parameter shifts of F.
+    """
+    if not np.all((xi < t) & (t < eta)):
         raise DomainError(f"t = {t} not strictly inside ({xi}, {eta})")
     shape = _kernel_shape(problem)
     a, b, lam = problem.alpha, problem.beta, problem.lam
     s = sigma(xi, eta, t)
     r = rho(xi, eta, t, lam)
     mid = eta + xi - 2.0 * t
-    fv = kdf_eval(shape, (s, r), policy)
-    fs = kdf_eval_derivative(shape, (s, r), 1, 0, policy)
-    fr = kdf_eval_derivative(shape, (s, r), 0, 1, policy)
-    good = all(res.status in (SeriesStatus.CONVERGED, SeriesStatus.TERMINATING)
-               for res in (fv, fs, fr))
-    h = (2.0 * (1.0 + 2.0 * b) * fv.value
-         - (a / t) * mid * fv.value
-         - mid * fs.value * dsigma_dt(xi, eta, t)
-         + 4.0 * r * fr.value)
-    return h, fv.value, good
+    fv = kdf_eval_points(shape, s, r, policy)
+    cs, shape_s = kdf_derivative_shape(shape, 1, 0)
+    fs = kdf_eval_points(shape_s, s, r, policy)
+    cr, shape_r = kdf_derivative_shape(shape, 0, 1)
+    fr = kdf_eval_points(shape_r, s, r, policy)
+    good = _converged(fv) and _converged(fs) and _converged(fr)
+    h = (2.0 * (1.0 + 2.0 * b) * fv.values
+         - (a / t) * mid * fv.values
+         - mid * (cs * fs.values) * dsigma_dt(xi, eta, t)
+         + 4.0 * r * (cr * fr.values))
+    return h, fv.values, good
 
 
 def jacobi_rule(n_nodes: int, exp_eta_side: float, exp_xi_side: float,
@@ -184,25 +200,22 @@ def solve_point(problem: CauchyProblem, point, n_nodes: int = 64,
     i1 = i2 = 0.0
     if any(c != 0.0 for c in problem.tau_data):
         nodes, weights = jacobi_rule(n_nodes, b, b, xi, eta)
-        for t, w in zip(nodes, weights):
-            h, fv, good = _kernel_parts(problem, xi, eta, t, policy)
-            all_good = all_good and good
+        h, fv, good = _tau_kernel(problem, xi, eta, nodes, policy)
+        all_good = all_good and good
+        for t, w, hk, fk in zip(nodes, weights, h, fv):
             ta = t ** a
-            i1 += w * ta * h * poly_val(problem.tau_data, t)
+            i1 += w * ta * hk * poly_val(problem.tau_data, t)
             if dtau:
-                i2 += w * (eta + xi - 2.0 * t) * ta * fv * poly_val(dtau, t)
+                i2 += w * (eta + xi - 2.0 * t) * ta * fk * poly_val(dtau, t)
 
     i3 = 0.0
     if any(c != 0.0 for c in problem.nu_data):
         hshape = shape_xi2(ParamsXi2(b=a, c=1.0 - a, e=1.0 - b))
         nodes, weights = jacobi_rule(n_nodes, -b, -b, xi, eta)
-        for t, w in zip(nodes, weights):
-            s = sigma(xi, eta, t)
-            r = rho(xi, eta, t, lam)
-            res = kdf_eval(hshape, (s, r), policy)
-            all_good = all_good and res.status in (SeriesStatus.CONVERGED,
-                                                   SeriesStatus.TERMINATING)
-            i3 += w * t**a * res.value * poly_val(problem.nu_data, t)
+        res = kdf_eval_points(hshape, sigma(xi, eta, nodes), rho(xi, eta, nodes, lam), policy)
+        all_good = all_good and _converged(res)
+        for t, w, v in zip(nodes, weights, res.values):
+            i3 += w * t**a * v * poly_val(problem.nu_data, t)
 
     if not all_good:
         warnings.warn("interior series evaluation did not converge to tolerance",

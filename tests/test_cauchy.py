@@ -210,3 +210,45 @@ def test_convergence_warning_on_truncation():
     starved = TruncationPolicy(max_diagonal=6)
     with pytest.warns(ConvergenceWarning):
         solve_point(prob, (0.01, 0.9), 8, starved)
+
+
+@pytest.mark.parametrize("field,bad", [("alpha", math.nan), ("beta", -math.inf),
+                                       ("lam", math.nan), ("lam", math.inf),
+                                       ("tau_data", (1.0, math.nan)),
+                                       ("nu_data", (math.inf,))])
+def test_problem_nonfinite_inputs_are_domain_errors(field, bad):
+    fields = dict(alpha=-0.1, beta=-0.2, lam=0.5, tau_data=(1.0,), nu_data=(1.0,))
+    fields[field] = bad
+    with pytest.raises(DomainError):
+        CauchyProblem(**fields)
+
+
+# values of the node-by-node kernel evaluation this solver replaced, which
+# summed every series at one abscissa at a time; the batched sweeps must
+# reproduce them to the bit
+MIXED_64 = CauchyProblem(alpha=-0.2, beta=-0.3, lam=0.8,
+                         tau_data=(1.0, -0.5, 0.25), nu_data=(1.0,))
+MIXED_128 = CauchyProblem(alpha=-0.1, beta=-0.2, lam=-1.2,
+                          tau_data=(1.0, 0.5, -0.3), nu_data=(0.4, 0.2))
+
+
+def test_solve_point_pinned_mixed_values():
+    assert solve_point(MIXED_64, (0.3, 0.55), 64) == 0.8833453691811397
+    assert solve_point(MIXED_128, (0.2, 0.7), 128) == 0.8041930146512635
+
+
+def test_solve_point_series_calls(monkeypatch):
+    from kampe import cauchy, series
+    calls = {"points": 0, "scalar": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cauchy, "kdf_eval_points", counted("points", cauchy.kdf_eval_points))
+    monkeypatch.setattr(series, "kdf_eval", counted("scalar", series.kdf_eval))
+    solve_point(MIXED_64, (0.3, 0.55), 64)
+    # F, dF/dsigma, dF/drho over the tau nodes and Xi2 over the nu nodes
+    assert calls == {"points": 4, "scalar": 0}

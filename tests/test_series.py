@@ -256,3 +256,76 @@ def test_converges_within_cap_near_origin(x, y):
     res = kdf_eval(F0211, (x, y), TruncationPolicy(max_diagonal=2000))
     assert res.status is SeriesStatus.CONVERGED
     assert res.diagonals_used <= 2000
+
+
+# --- concurrency ----------------------------------------------------------------
+
+def test_concurrent_first_use_of_a_shape_matches_serial():
+    # four threads evaluate a shape nobody has evaluated yet, so they all
+    # extend its shared ratio lists at once; a short switch interval makes
+    # the interleaving likely
+    import sys
+    import threading
+
+    from kampe import series
+
+    point = (0.9, 5.0)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(30):
+            shape = shape_f0211(ParamsF0211(0.8 + 1e-3 * trial, 0.5, 0.9, 1.3, 1.1))
+            outcomes = [None] * 4
+            start = threading.Barrier(4)
+
+            def run(i, shape=shape, outcomes=outcomes, start=start):
+                try:
+                    start.wait(timeout=60)
+                    outcomes[i] = kdf_eval(shape, point)
+                except Exception as exc:  # the race showed up as IndexError
+                    outcomes[i] = exc
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+            series._ratio_cache.cache_clear()
+            want = kdf_eval(shape, point)
+            assert outcomes == [want] * 4, f"trial {trial}: {outcomes}"
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+def test_ratio_extension_is_atomic(monkeypatch):
+    # a slow ratio computation holds all four threads inside `extend` at
+    # once, so an extension that is not atomic appends duplicates
+    import threading
+    import time
+
+    from kampe import series
+
+    compute = series._shape_ratios
+
+    def slow(*args):
+        time.sleep(0.005)
+        return compute(*args)
+
+    monkeypatch.setattr(series, "_shape_ratios", slow)
+    seqs = series._RatioSeqs(F0211)
+    start = threading.Barrier(4)
+
+    def run():
+        start.wait(timeout=60)
+        seqs.extend(40)
+
+    threads = [threading.Thread(target=run) for _ in range(4)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+        assert not th.is_alive()
+    joint, xs, ys = compute(F0211, 0, len(seqs.ys))
+    assert len(seqs.ys) > 40
+    assert (seqs.joint, seqs.xs, seqs.ys) == (joint.tolist(), xs.tolist(), ys.tolist())
