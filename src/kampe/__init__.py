@@ -10,7 +10,7 @@ from .errors import (ConvergenceWarning, DegenerateError, DivergenceError,
                      ParameterError, PoleError, SchemaError, ShapeError)
 from .frobenius import (Exponents, Solution, eval_solution, independence_check,
                         indicial_roots, solution_derivative, solution_evaluator,
-                        solution_pair_f0211, solution_pair_f1211)
+                        solution_pair_f0211, solution_pair_f1211, solution_partials)
 from .named import (ParamsF0211, ParamsF1211, ParamsXi2, shape_f0211, shape_f1211,
                     shape_xi2)
 from .pde import (EquationResidual, EulerSystem, PdeEquation, PdeSystem,
@@ -21,7 +21,7 @@ from .pde import (EquationResidual, EulerSystem, PdeEquation, PdeSystem,
 from .series import (DEFAULT_POLICY, ConvergenceRegion, KdFShape, PointsResult,
                      SeriesResult, SeriesStatus, TruncationPolicy, ValidationReport,
                      classify_convergence, in_region, kdf_derivative_shape,
-                     kdf_eval, kdf_eval_derivative, kdf_eval_points,
+                     kdf_eval, kdf_eval_derivative, kdf_eval_jet, kdf_eval_points,
                      validate_shape)
 
 __version__ = "0.1.0"

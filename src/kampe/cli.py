@@ -299,7 +299,7 @@ def _cmd_check(job, args):
     nodes = _nodes(job, args)
     names = job.get("checks")
     if names is not None:
-        if not isinstance(names, list):
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             _fail("checks", "expected a list of check names")
         unknown = [n for n in names if n not in checks.ALL_CHECKS]
         if unknown:
@@ -361,6 +361,8 @@ def main(argv=None) -> int:
             job = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"$: invalid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise SchemaError("$: invalid JSON (nested too deeply)") from exc
         report = run(job, args)
     except SchemaError as exc:
         sys.stdout.write(canonical_dumps({"error": "schema", "message": str(exc)}) + "\n")

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .core import falling, is_nonpositive_int
 from .errors import DegenerateError, DomainError
 from .named import ParamsF0211, ParamsF1211, shape_f0211, shape_f1211
-from .series import (DEFAULT_POLICY, KdFShape, SeriesResult, TruncationPolicy,
-                     kdf_eval, kdf_eval_derivative)
+from .series import (DEFAULT_POLICY, KdFShape, SeriesResult, SeriesStatus,
+                     TruncationPolicy, kdf_eval_jet)
 
 
 @dataclass(frozen=True)
@@ -82,50 +82,70 @@ def _prefactor(exp: float, coord: float, axis: str) -> float:
     return coord ** exp
 
 
+def solution_partials(sol: Solution, point, orders,
+                      policy: TruncationPolicy = DEFAULT_POLICY) -> list[SeriesResult]:
+    """The (dx, dy) partial of scale * x^tau y^nu * series(point) for each
+    (dx, dy) in `orders`, by the Leibniz rule over one jet of the series.
+
+    Prefactor derivatives are exact falling-factorial powers and the series
+    partials come from one `kdf_eval_jet` sweep, so nothing is
+    finite-differenced near y = 0 where y^(1-g) has unbounded derivatives.
+    Each result reports the most diagonals any of its series partials took,
+    their prefactor-weighted tails, and TRUNCATED_AT_CAP if any of them was.
+    """
+    x, y = point
+    tau, nu = sol.exponents.tau, sol.exponents.nu
+    plans = []
+    needed: dict = {}
+    for dx, dy in orders:
+        plan = []
+        for p in range(dx + 1):
+            ftau = falling(tau, p)
+            if ftau == 0.0:
+                continue
+            for q in range(dy + 1):
+                fnu = falling(nu, q)
+                if fnu == 0.0:
+                    continue
+                pref = (math.comb(dx, p) * math.comb(dy, q) * ftau * fnu
+                        * _prefactor(tau - p, x, "x") * _prefactor(nu - q, y, "y"))
+                plan.append((pref, (dx - p, dy - q)))
+                needed[(dx - p, dy - q)] = None
+        plans.append(plan)
+    jet = dict(zip(needed, kdf_eval_jet(sol.shape, point, list(needed), policy)))
+    out = []
+    for plan in plans:
+        total = tail = 0.0
+        for pref, order in plan:
+            total += pref * jet[order].value
+            tail += abs(pref) * jet[order].tail_estimate
+        parts = [jet[order] for _, order in plan]
+        statuses = [r.status for r in parts]
+        status = (SeriesStatus.TRUNCATED_AT_CAP if SeriesStatus.TRUNCATED_AT_CAP in statuses
+                  else statuses[0])
+        out.append(SeriesResult(sol.scale * total, max(r.diagonals_used for r in parts),
+                                abs(sol.scale) * tail, status))
+    return out
+
+
 def eval_solution(sol: Solution, point,
                   policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """scale * x^tau y^nu * series(point)."""
-    x, y = point
-    pref = (sol.scale * _prefactor(sol.exponents.tau, x, "x")
-            * _prefactor(sol.exponents.nu, y, "y"))
-    res = kdf_eval(sol.shape, point, policy)
-    return SeriesResult(pref * res.value, res.diagonals_used,
-                        abs(pref) * res.tail_estimate, res.status)
+    return solution_partials(sol, point, [(0, 0)], policy)[0]
 
 
 def solution_derivative(sol: Solution, point, dx: int, dy: int,
                         policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """(dx, dy) partial of the prefactored solution by the Leibniz rule.
-
-    Prefactor derivatives are exact falling-factorial powers, the series
-    derivatives exact parameter shifts, so nothing is finite-differenced
-    near y = 0 where y^(1-g) has unbounded derivatives.
-    """
-    x, y = point
-    tau, nu = sol.exponents.tau, sol.exponents.nu
-    total = 0.0
-    for p in range(dx + 1):
-        ftau = falling(tau, p)
-        if ftau == 0.0:
-            continue
-        for q in range(dy + 1):
-            fnu = falling(nu, q)
-            if fnu == 0.0:
-                continue
-            pref = (math.comb(dx, p) * math.comb(dy, q) * ftau * fnu
-                    * _prefactor(tau - p, x, "x") * _prefactor(nu - q, y, "y"))
-            series = kdf_eval_derivative(sol.shape, point, dx - p, dy - q, policy)
-            total += pref * series.value
-    return sol.scale * total
+    """(dx, dy) partial of the prefactored solution (`solution_partials`)."""
+    return solution_partials(sol, point, [(dx, dy)], policy)[0].value
 
 
 def solution_evaluator(sol: Solution, policy: TruncationPolicy = DEFAULT_POLICY):
-    """Adapter with the (x, y, dx, dy) signature expected by pde.residual."""
+    """Adapter with the u(x, y, orders) -> [partial per order] signature
+    expected by pde.residual."""
 
-    def evaluate(x: float, y: float, dx: int = 0, dy: int = 0) -> float:
-        if dx == 0 and dy == 0:
-            return eval_solution(sol, (x, y), policy).value
-        return solution_derivative(sol, (x, y), dx, dy, policy)
+    def evaluate(x: float, y: float, orders) -> list[float]:
+        return [r.value for r in solution_partials(sol, (x, y), orders, policy)]
 
     return evaluate
 

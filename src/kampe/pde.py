@@ -319,13 +319,17 @@ class EquationResidual:
 def residual(system: PdeSystem, u, point) -> list[EquationResidual]:
     """Apply each equation to the evaluator u at the point.
 
-    ``u(x, y, dx, dy)`` must return the (dx, dy) partial derivative.  The
-    scale sums |coefficient * derivative| over the terms so tolerances are
-    meaningful across parameter regimes.
+    ``u(x, y, orders)`` gets the sorted list of distinct (dx, dy) orders
+    the system uses and must return one value per order, the (dx, dy)
+    partial derivative at (x, y); it is called once per point, so an
+    evaluator can share work between the orders
+    (`frobenius.solution_evaluator` sums one series jet).  The scale sums
+    |coefficient * derivative| over the terms so tolerances are meaningful
+    across parameter regimes.
     """
     x, y = point
     orders = sorted({(t.dx, t.dy) for eq in system.equations for t in eq.terms})
-    derivs = {o: u(x, y, o[0], o[1]) for o in orders}
+    derivs = dict(zip(orders, u(x, y, orders)))
     out = []
     for eq in system.equations:
         val = 0.0

@@ -15,6 +15,8 @@ is what makes the recursion overflow-safe inside the convergence region).
 Exact partial derivatives are parameter shifts: one x-derivative multiplies
 by prod(a) prod(b) / (prod(alpha) prod(beta)) and increments every joint
 and x-group entry by one; y-derivatives act on the joint and y-groups.
+`kdf_eval_jet` gets many partials at one point from one sweep instead, by
+weighting each term x^r y^s with the falling factorials of r and s.
 """
 
 from __future__ import annotations
@@ -346,6 +348,27 @@ def _sweep_setup(shape: KdFShape, policy: TruncationPolicy):
     return report, finite_all, n_cap
 
 
+def _next_diagonal(seqs: _RatioSeqs, terms: list[float], nd: int, x: float, y: float):
+    """The terms of diagonal nd >= 1 from those of diagonal nd - 1, one ratio
+    update each (the recursion of `kdf_eval` and `kdf_eval_jet`); a zero term
+    or coordinate gives a zero successor without a multiply."""
+    seqs.extend(nd - 1)
+    jr = seqs.joint[nd - 1]
+    ys = seqs.ys
+    new_terms = [0.0] * (nd + 1)
+    if y != 0.0:
+        jy = jr * y
+        for r in range(nd):
+            t = terms[r]
+            if t != 0.0:
+                new_terms[r] = t * jy * ys[nd - 1 - r]
+    if x != 0.0:
+        t = terms[nd - 1]
+        if t != 0.0:
+            new_terms[nd] = t * jr * seqs.xs[nd - 1] * x
+    return new_terms
+
+
 def kdf_eval(shape: KdFShape, point, policy: TruncationPolicy | None = None) -> SeriesResult:
     """Sum the double series by diagonals with a geometric tail estimate.
 
@@ -377,20 +400,7 @@ def kdf_eval(shape: KdFShape, point, policy: TruncationPolicy | None = None) -> 
     tail = 0.0
 
     for nd in range(1, n_cap + 1):
-        seqs.extend(nd - 1)
-        jr = seqs.joint[nd - 1]
-        ys = seqs.ys
-        new_terms = [0.0] * (nd + 1)
-        if y != 0.0:
-            jy = jr * y
-            for r in range(nd):
-                t = terms[r]
-                if t != 0.0:
-                    new_terms[r] = t * jy * ys[nd - 1 - r]
-        if x != 0.0:
-            t = terms[nd - 1]
-            if t != 0.0:
-                new_terms[nd] = t * jr * seqs.xs[nd - 1] * x
+        new_terms = _next_diagonal(seqs, terms, nd, x, y)
         d = 0.0
         peak = 0.0
         for t in new_terms:
@@ -578,6 +588,22 @@ def _step_coefficient(uppers, lowers) -> float:
     return num / den
 
 
+def _shift(shape: KdFShape, dx: int, dy: int):
+    """(coefficient, six parameter groups) of the (dx, dy) parameter shift:
+    the x-steps first, then the y-steps, each multiplying the coefficient by
+    `_step_coefficient` of the groups it moves and then moving them by one."""
+    uj, ux, uy = shape.upper_joint, shape.upper_x, shape.upper_y
+    lj, lx, ly = shape.lower_joint, shape.lower_x, shape.lower_y
+    coeff = 1.0
+    for _ in range(dx):
+        coeff *= _step_coefficient(uj + ux, lj + lx)
+        uj, ux, lj, lx = _shift_all(uj), _shift_all(ux), _shift_all(lj), _shift_all(lx)
+    for _ in range(dy):
+        coeff *= _step_coefficient(uj + uy, lj + ly)
+        uj, uy, lj, ly = _shift_all(uj), _shift_all(uy), _shift_all(lj), _shift_all(ly)
+    return coeff, (uj, ux, uy, lj, lx, ly)
+
+
 def kdf_derivative_shape(shape: KdFShape, dx: int, dy: int) -> tuple[float, KdFShape]:
     """Exact parameter-shift derivative: d^(dx+dy) F = coefficient * F[shifted].
 
@@ -586,19 +612,8 @@ def kdf_derivative_shape(shape: KdFShape, dx: int, dy: int) -> tuple[float, KdFS
     """
     if dx < 0 or dy < 0:
         raise ValueError("derivative orders must be >= 0")
-    coeff = 1.0
-    cur = shape
-    for _ in range(dx):
-        coeff *= _step_coefficient(cur.upper_joint + cur.upper_x,
-                                   cur.lower_joint + cur.lower_x)
-        cur = KdFShape(_shift_all(cur.upper_joint), _shift_all(cur.upper_x), cur.upper_y,
-                       _shift_all(cur.lower_joint), _shift_all(cur.lower_x), cur.lower_y)
-    for _ in range(dy):
-        coeff *= _step_coefficient(cur.upper_joint + cur.upper_y,
-                                   cur.lower_joint + cur.lower_y)
-        cur = KdFShape(_shift_all(cur.upper_joint), cur.upper_x, _shift_all(cur.upper_y),
-                       _shift_all(cur.lower_joint), cur.lower_x, _shift_all(cur.lower_y))
-    return coeff, cur
+    coeff, groups = _shift(shape, dx, dy)
+    return coeff, KdFShape(*groups)
 
 
 def kdf_eval_derivative(shape: KdFShape, point, dx: int, dy: int,
@@ -607,3 +622,229 @@ def kdf_eval_derivative(shape: KdFShape, point, dx: int, dy: int,
     res = kdf_eval(shifted, point, policy)
     return SeriesResult(coeff * res.value, res.diagonals_used,
                         abs(coeff) * res.tail_estimate, res.status)
+
+
+_JET_BLOCK = 16
+_JET_RANGE = 2.0 ** 900
+
+
+@lru_cache(maxsize=512)
+def _jet_coefficients(shape: KdFShape, orders: tuple) -> tuple:
+    """`kdf_derivative_shape`'s coefficient of each (dx, dy) in `orders`, or
+    None where it raises PoleError.  Cached: a residual asks for the same
+    orders of one shape at every point."""
+    out = []
+    for dx, dy in orders:
+        try:
+            out.append(_shift(shape, dx, dy)[0])
+        except PoleError:
+            out.append(None)
+    return tuple(out)
+
+
+class _JetOrder:
+    """One order (i, j) of a jet.  Its weighted diagonal sums are coefficient
+    times the diagonal sums of its shifted series, from diagonal i + j on;
+    `advance` runs `kdf_eval`'s stopping rule and checks on them."""
+
+    __slots__ = ("order", "start", "last", "coeff", "finite",
+                 "total", "prev", "small", "grow")
+
+    def __init__(self, order, coeff: float, finite_all, max_diagonal: int):
+        self.order = order
+        self.start = order[0] + order[1]
+        # the shifted series terminates i + j diagonals before the shape's
+        self.finite = None if finite_all is None else finite_all - self.start
+        cap = max_diagonal if self.finite is None else min(self.finite, max_diagonal)
+        self.last = self.start + cap
+        self.coeff = abs(coeff)
+        self.total = self.prev = 0.0
+        self.small = self.grow = 0
+
+    def advance(self, sums, peaks, n0: int, rule):
+        """Test diagonals n0, n0 + 1, ... of the block (sums, and the largest
+        shifted terms or None) in turn.  Returns the order's SeriesResult or
+        error once it ends there, else None."""
+        rel_tol, consecutive, in_reg, status_on_stop = rule
+        start, last, finite = self.start, self.last, self.finite
+        total, prev, small, grow = self.total, self.prev, self.small, self.grow
+        floor = _TINY * self.coeff
+        b = max(start - n0, 0)
+        stop = min(len(sums), last - n0 + 1)
+        if b < stop and n0 + b == start:
+            total = prev = sums[b]
+            b += 1
+        while b < stop:
+            d = sums[b]
+            if math.isnan(d):
+                return PoleError("lower Pochhammer factor vanishes inside a live diagonal")
+            if not math.isfinite(d) or (peaks and peaks[b] > _OVERFLOW_GUARD):
+                return DivergenceError(f"terms exceed double range at diagonal "
+                                       f"{n0 + b - start}; value not representable")
+            total += d
+            scale = max(abs(total), floor)
+            abs_d = abs(d)
+            small = small + 1 if abs_d <= rel_tol * scale else 0
+            if abs_d > abs(prev):
+                grow += 1
+                if grow >= _GROW_LIMIT and not in_reg:
+                    return DivergenceError(f"{_GROW_LIMIT} consecutive growing diagonals "
+                                           "outside the convergence region")
+            else:
+                grow = 0
+            if small >= consecutive and finite is None:
+                rho = min(0.99, abs(d / prev)) if prev != 0.0 else 0.0
+                tail = abs_d * rho / (1.0 - rho)
+                if tail <= rel_tol * scale:
+                    return SeriesResult(total, n0 + b - start, tail, status_on_stop)
+            prev = d
+            b += 1
+        if b == last - n0 + 1:  # summed every diagonal up to the cap
+            if finite is not None and last - start == finite:
+                return SeriesResult(total, last - start, 0.0, SeriesStatus.TERMINATING)
+            rho = min(0.99, abs(prev) / self.coeff) if prev != 0.0 else 0.0
+            return SeriesResult(total, last - start, abs(prev) * rho / (1.0 - rho),
+                                SeriesStatus.TRUNCATED_AT_CAP)
+        self.total, self.prev, self.small, self.grow = total, prev, small, grow
+        return None
+
+
+def _falling_weights(orders, size: int):
+    """(left, rev) for weighing term r of diagonal n <= size by
+    r(r-1)...(r-i+1) * (n-r)(n-r-1)...(n-r-j+1) for each order (i, j):
+    left[k, r] is the first factor and rev[k, size - n + r] the second,
+    zero for r > n."""
+    m = np.arange(size + 1, dtype=float)
+    fall = np.ones((1 + max(max(o) for o in orders), size + 1))
+    for k in range(1, fall.shape[0]):
+        fall[k] = fall[k - 1] * (m - (k - 1))
+    rev = np.zeros((len(orders), 2 * size + 1))
+    rev[:, :size + 1] = fall[[j for _, j in orders], ::-1]
+    return fall[[i for i, _ in orders]], rev
+
+
+def kdf_eval_jet(shape: KdFShape, point, orders,
+                 policy: TruncationPolicy | None = None) -> list[SeriesResult]:
+    """Every partial d^(dx+dy) F / dx^dx dy^dy in `orders` at one point, from
+    one diagonal sweep of `shape`; one SeriesResult per requested (dx, dy).
+
+    Partial (i, j) sums t_rs * r(r-1)...(r-i+1) * s(s-1)...(s-j+1) / (x^i y^j)
+    over the terms t_rs, which come from `kdf_eval`'s diagonal recursion.
+    For each block of diagonals one numpy product forms these weighted
+    diagonal sums for all orders at once.  Each order then runs `kdf_eval`'s
+    stopping rule and checks diagonal by diagonal from diagonal i + j on,
+    where the shift identity (`kdf_eval_derivative`) starts its shifted
+    series, so it reports that identity's diagonal count (the sweep's less
+    i + j), tail and status, and its value agrees with it to rounding.  The
+    sweep ends when the last order stops.
+
+    The order (0, 0) always runs and sums each diagonal left to right, so
+    it returns what `kdf_eval` returns, to the bit, and where it fails the
+    jet raises what `kdf_eval` at the point raises: PoleError, or
+    DivergenceError for terms beyond double range or for 20 growing
+    diagonals outside the convergence region.  A non-finite point raises
+    DomainError.  Other orders go through `kdf_eval_derivative` after the
+    sweep, which raises or answers as the shift identity does, where
+    - the sweep fails for them (their weighted terms leave double range
+      before the shifted series' own terms do, or they grow);
+    - their weights need x^i y^j outside [2^-900, 2^900] (a zero or tiny
+      coordinate);
+    - their shift coefficient is zero, not finite or undefined; or
+    - they differentiate past the order at which a direction terminates (an
+      upper parameter within 1e-12 of a nonpositive integer but not equal
+      to it shifts to a series that does not terminate).
+    """
+    if policy is None:
+        policy = DEFAULT_POLICY
+    req = [(int(dx), int(dy)) for dx, dy in orders]
+    if any(dx < 0 or dy < 0 for dx, dy in req):
+        raise ValueError("derivative orders must be >= 0")
+    if req and set(req) == {(0, 0)}:
+        return [kdf_eval(shape, point, policy)] * len(req)
+    report, finite_all, _ = _sweep_setup(shape, policy)
+    x, y = float(point[0]), float(point[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"point ({x}, {y}) is not finite")
+    status_on_stop = SeriesStatus.TERMINATING if report.terminating else SeriesStatus.CONVERGED
+    rule = (policy.rel_tol, policy.consecutive_small,
+            _effectively_in_region(shape, report, (x, y)), status_on_stop)
+
+    distinct = list(dict.fromkeys([(0, 0)] + req))
+    swept: list[_JetOrder] = []
+    fallback = []
+    tx, ty, tj = report.terminates_x, report.terminates_y, report.terminates_joint
+    for (i, j), coeff in zip(distinct, _jet_coefficients(shape, tuple(distinct))):
+        try:
+            weight_scale = abs(x) ** i * abs(y) ** j
+        except OverflowError:
+            weight_scale = math.inf
+        if (coeff is None or coeff == 0.0 or not math.isfinite(coeff)
+                or not 1.0 / _JET_RANGE <= weight_scale <= _JET_RANGE
+                or (tx is not None and i > tx) or (ty is not None and j > ty)
+                or (tj is not None and i + j > tj)):
+            fallback.append((i, j))
+        else:
+            swept.append(_JetOrder((i, j), coeff, finite_all, policy.max_diagonal))
+    powers = np.array([x ** o.order[0] * y ** o.order[1] for o in swept])
+    # a term of an order's shifted series is its weighted term over this
+    shifted_unit = np.abs(powers) * [o.coeff for o in swept]
+    results: dict = {}
+    live = list(range(len(swept)))  # swept[0] is the order (0, 0)
+    seqs = _ratio_cache(shape)
+    terms: list[float] = []
+    size = 0
+    n0 = 0
+    while live:
+        nb = min(_JET_BLOCK, max(swept[k].last for k in live) + 1 - n0)
+        width = n0 + nb
+        block = np.zeros((nb, width))
+        for b in range(nb):
+            terms = _next_diagonal(seqs, terms, n0 + b, x, y) if n0 + b else [1.0]
+            block[b, :n0 + b + 1] = terms
+        if size < width:
+            size = 2 * width
+            left, rev = _falling_weights([o.order for o in swept], size)
+        step = rev.strides[1]
+        right = np.lib.stride_tricks.as_strided(
+            rev[:, size - n0:], (len(swept), nb, width), (rev.strides[0], -step, step))
+        with np.errstate(all="ignore"):
+            # each order's weighted diagonal sums; as plain sums over each
+            # diagonal they do not depend on which other orders are asked for
+            big = float(np.abs(block).max())
+            if math.isfinite(big):
+                sums = np.einsum("kr,kbr,br->kb", left[:, :width], right, block)
+            else:
+                # a zero weight drops its term from the shifted series
+                weights = left[:, None, :width] * right
+                sums = np.where(weights != 0.0, weights * block, 0.0).sum(axis=2)
+            sums = (sums / powers[:, None]).tolist()
+            # the order (0, 0) sums each diagonal left to right, as kdf_eval does
+            sums[0] = np.cumsum(block, axis=1)[:, -1].tolist()
+            # each order's largest shifted-series term on each diagonal, needed
+            # only where a bound on it (largest term times largest weight)
+            # passes the overflow guard
+            peaks = [None] * len(swept)
+            if not big * (left[:, width - 1] * rev[:, size - width + 1]
+                          / shifted_unit).max() <= _OVERFLOW_GUARD:
+                weights = left[:, None, :width] * right
+                weighted = np.where(weights != 0.0, weights * block, 0.0)
+                peaks = (np.abs(weighted).max(axis=2) / shifted_unit[:, None]).tolist()
+
+        still = []
+        for k in live:
+            event = swept[k].advance(sums[k], peaks[k], n0, rule)
+            if event is None:
+                still.append(k)
+            elif isinstance(event, SeriesResult):
+                results[swept[k].order] = event
+            elif k == 0:  # the order (0, 0) fails where kdf_eval fails
+                raise event
+            else:
+                # the shifted series' own terms decide whether this order fails
+                fallback.append(swept[k].order)
+        live = still
+        n0 = width
+
+    for dx, dy in fallback:
+        results[(dx, dy)] = kdf_eval_derivative(shape, (x, y), dx, dy, policy)
+    return [results[o] for o in req]

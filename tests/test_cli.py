@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kampe.cli import canonical_dumps, main
 
@@ -155,7 +157,9 @@ def test_schema_errors(capsys, monkeypatch):
              "params.b"),
             ({**cauchy, "nodes": "x"}, "nodes"),
             ({**cauchy, "nodes": 4097}, "nodes"),
-            ({"command": "check", "nodes": 0}, "nodes")):
+            ({"command": "check", "nodes": 0}, "nodes"),
+            ({"command": "check", "checks": [[1]]}, "checks"),
+            ({"command": "check", "checks": [{}]}, "checks")):
         code, out = run_cli(capsys, monkeypatch, job)
         assert code == 2, job
         assert json.loads(out)["message"].startswith(path + ":"), out
@@ -201,3 +205,63 @@ def test_policy_flag_override(capsys, monkeypatch):
     code, out2 = run_cli(capsys, monkeypatch, job, ["--tol", "1e-14"])
     row2 = json.loads(out2)["results"][0]
     assert row2["diagonals"] > row["diagonals"]
+
+
+def test_deeply_nested_job_is_a_schema_error(capsys, monkeypatch):
+    depth = 100_000
+    for text in ("[" * depth + "]" * depth, '{"a":' * depth + "1" + "}" * depth):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main([]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == "schema" and report["message"].startswith("$:")
+
+
+# --- fuzzing -------------------------------------------------------------------
+# Job documents mixing valid and invalid fields.  The check command and large
+# grids are left out to keep the run short, and --max-diagonal bounds each sum.
+
+_odd = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                 st.integers(-10**400, 10**400), st.text(max_size=3), st.none(),
+                 st.booleans(), st.lists(st.integers(-2, 2), max_size=2),
+                 st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+_num = st.one_of(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.integers(-3, 3), _odd)
+_count = st.one_of(st.integers(-1, 3), _odd)
+
+
+def _maybe(strategy):
+    return st.one_of(strategy, _odd)
+
+
+_params = _maybe(st.dictionaries(st.sampled_from("abcdefgz"), _num, max_size=8))
+_grid = _maybe(st.fixed_dictionaries(
+    {"x_min": _num, "x_max": _num, "nx": _count, "y_min": _num, "y_max": _num, "ny": _count}))
+_points = _maybe(st.lists(_maybe(st.lists(_num, min_size=2, max_size=2)), max_size=3))
+_policy = _maybe(st.fixed_dictionaries({}, optional={
+    "rel_tol": _num, "max_diagonal": _count, "consecutive_small": _count}))
+_shape = _maybe(st.fixed_dictionaries({}, optional={
+    key: _maybe(st.lists(_num, max_size=2))
+    for key in ("upper_joint", "upper_x", "upper_y", "lower_joint", "lower_x", "lower_y")}))
+_problem = _maybe(st.fixed_dictionaries({}, optional={
+    "alpha": _num, "beta": _num, "lambda": _num,
+    "tau": _maybe(st.lists(_num, max_size=3)), "nu": _maybe(st.lists(_num, max_size=3))}))
+_jobs = st.fixed_dictionaries(
+    {"command": _maybe(st.sampled_from(
+        ["eval", "convergence", "residual", "solutions", "cauchy", "bogus"]))},
+    optional={"function": _maybe(st.sampled_from(["F1211", "F0211", "XI2"])),
+              "params": _params, "grid": _grid, "points": _points, "policy": _policy,
+              "shape": _shape, "problem": _problem, "nodes": _maybe(st.integers(1, 6)),
+              "solution": _maybe(st.sampled_from(["u1", "u2"]))})
+
+
+@given(_jobs)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_jobs_exit_cleanly(capsys, monkeypatch, job):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+    code = main(["--max-diagonal", "60"])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and captured.out.endswith("\n"), captured.out
+    json.loads(lines[0])
+    assert "Traceback" not in captured.err

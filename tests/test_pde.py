@@ -156,8 +156,8 @@ def test_residual_constant_function_annihilated():
     params = ParamsF0211(0.0, 0.5, 0.0, 1.3, 1.1)
     system = expanded_system_f0211(params)
 
-    def const_one(x, y, dx=0, dy=0):
-        return 1.0 if dx == dy == 0 else 0.0
+    def const_one(x, y, orders):
+        return [1.0 if order == (0, 0) else 0.0 for order in orders]
 
     for res in residual(system, const_one, (0.2, 0.3)):
         assert res.value == 0.0
@@ -175,8 +175,8 @@ def test_residual_axis_guard():
     params = ParamsF1211(*RATIONAL_SETS[0])
     sub = substituted_system_f1211(params, Fraction(1, 3), Fraction(2, 5))
 
-    def const_one(x, y, dx=0, dy=0):
-        return 1.0 if dx == dy == 0 else 0.0
+    def const_one(x, y, orders):
+        return [1.0 if order == (0, 0) else 0.0 for order in orders]
 
     with pytest.raises(DomainError):
         residual(sub, const_one, (0.0, 0.3))
