@@ -2,8 +2,6 @@
 PDE systems, power-prefactor solution pairs, and a degenerate hyperbolic
 Cauchy solver."""
 
-from .cauchy import (CauchyProblem, dsigma_dt, gamma_constants, h_kernel,
-                     jacobi_rule, rho, sigma, solve_point, verify_trace)
 from .core import gamma_ratio
 from .errors import (ConvergenceWarning, DegenerateError, DivergenceError,
                      DomainError, KampeError, NegativePowerError,
@@ -23,5 +21,11 @@ from .series import (DEFAULT_POLICY, ConvergenceRegion, KdFShape, PointsResult,
                      classify_convergence, in_region, kdf_derivative_shape,
                      kdf_eval, kdf_eval_derivative, kdf_eval_jet, kdf_eval_points,
                      validate_shape)
+# cauchy, the one module that imports scipy.special, comes last: with the
+# bytecode cached, the peak RSS of `import kampe` is then ~1.7 MB lower
+# (54.7 -> 53.0 MB on Python 3.11.7, x86-64).  The allocator effect behind
+# it is not pinned down; compiling on import peaks at ~59.5 MB either way.
+from .cauchy import (CauchyProblem, dsigma_dt, gamma_constants, h_kernel,
+                     jacobi_rule, rho, sigma, solve_point, verify_trace)
 
 __version__ = "0.1.0"
