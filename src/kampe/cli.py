@@ -63,7 +63,7 @@ def _fail(path: str, expected: str):
     raise SchemaError(f"{path}: {expected}")
 
 
-def _number(job, path: str, value) -> float:
+def _number(path: str, value) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         _fail(path, "expected a number")
     try:
@@ -95,8 +95,8 @@ def _points(job) -> list[tuple[float, float]]:
         for i, p in enumerate(pts):
             if not isinstance(p, list) or len(p) != 2:
                 _fail(f"points[{i}]", "expected [x, y]")
-            out.append((_number(job, f"points[{i}][0]", p[0]),
-                        _number(job, f"points[{i}][1]", p[1])))
+            out.append((_number(f"points[{i}][0]", p[0]),
+                        _number(f"points[{i}][1]", p[1])))
         return out
     if "grid" in job:
         g = job["grid"]
@@ -109,8 +109,8 @@ def _points(job) -> list[tuple[float, float]]:
         ny = _integer("grid.ny", g["ny"], 1, _GRID_LIMIT)
         if nx * ny > _GRID_LIMIT:
             _fail("grid", f"grid size must be in [1, {_GRID_LIMIT}]")
-        x0, x1 = _number(job, "grid.x_min", g["x_min"]), _number(job, "grid.x_max", g["x_max"])
-        y0, y1 = _number(job, "grid.y_min", g["y_min"]), _number(job, "grid.y_max", g["y_max"])
+        x0, x1 = _number("grid.x_min", g["x_min"]), _number("grid.x_max", g["x_max"])
+        y0, y1 = _number("grid.y_min", g["y_min"]), _number("grid.y_max", g["y_max"])
         xs = [x0 + (x1 - x0) * i / max(nx - 1, 1) for i in range(nx)]
         ys = [y0 + (y1 - y0) * j / max(ny - 1, 1) for j in range(ny)]
         return [(x, y) for x in xs for y in ys]
@@ -123,7 +123,7 @@ def _policy(job, args) -> series.TruncationPolicy:
         _fail("policy", "expected an object")
     kwargs = {}
     if "rel_tol" in raw:
-        kwargs["rel_tol"] = _number(job, "policy.rel_tol", raw["rel_tol"])
+        kwargs["rel_tol"] = _number("policy.rel_tol", raw["rel_tol"])
     if "max_diagonal" in raw:
         kwargs["max_diagonal"] = _integer("policy.max_diagonal", raw["max_diagonal"])
     if "consecutive_small" in raw:
@@ -153,7 +153,7 @@ def _params(job, fn: str):
     for key in keys:
         if key not in raw:
             _fail(f"params.{key}", "missing")
-        vals[key] = _number(job, f"params.{key}", raw[key])
+        vals[key] = _number(f"params.{key}", raw[key])
     cls = {"F1211": named.ParamsF1211, "F0211": named.ParamsF0211,
            "XI2": named.ParamsXi2}[fn]
     return cls(**vals)
@@ -177,9 +177,12 @@ def _shape_from_job(job) -> series.KdFShape:
             vals = raw.get(key, [])
             if not isinstance(vals, list):
                 _fail(f"shape.{key}", "expected a list of numbers")
-            groups[key] = tuple(_number(job, f"shape.{key}[{i}]", v)
+            groups[key] = tuple(_number(f"shape.{key}[{i}]", v)
                                 for i, v in enumerate(vals))
-        return series.KdFShape(**groups)
+        try:
+            return series.KdFShape(**groups)
+        except KampeError as exc:
+            raise SchemaError(f"shape: {exc}") from exc
     fn = _function(job)
     params = _params(job, fn)
     return {"F1211": named.shape_f1211, "F0211": named.shape_f0211,
@@ -278,11 +281,11 @@ def _cmd_cauchy(job, args):
         _fail("problem.tau", "expected polynomial coefficient lists")
     try:
         problem = cauchy.CauchyProblem(
-            alpha=_number(job, "problem.alpha", raw["alpha"]),
-            beta=_number(job, "problem.beta", raw["beta"]),
-            lam=_number(job, "problem.lambda", raw.get("lambda", 0.0)),
-            tau_data=tuple(_number(job, f"problem.tau[{i}]", v) for i, v in enumerate(tau)),
-            nu_data=tuple(_number(job, f"problem.nu[{i}]", v) for i, v in enumerate(nu)))
+            alpha=_number("problem.alpha", raw["alpha"]),
+            beta=_number("problem.beta", raw["beta"]),
+            lam=_number("problem.lambda", raw.get("lambda", 0.0)),
+            tau_data=tuple(_number(f"problem.tau[{i}]", v) for i, v in enumerate(tau)),
+            nu_data=tuple(_number(f"problem.nu[{i}]", v) for i, v in enumerate(nu)))
     except KampeError as exc:
         raise SchemaError(f"problem: {exc}") from exc
     nodes = _nodes(job, args)
@@ -299,8 +302,8 @@ def _cmd_check(job, args):
     nodes = _nodes(job, args)
     names = job.get("checks")
     if names is not None:
-        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-            _fail("checks", "expected a list of check names")
+        if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
+            _fail("checks", "expected a non-empty list of check names")
         unknown = [n for n in names if n not in checks.ALL_CHECKS]
         if unknown:
             _fail("checks", f"unknown names {unknown}; available: {sorted(checks.ALL_CHECKS)}")
@@ -364,6 +367,8 @@ def main(argv=None) -> int:
         except RecursionError as exc:
             raise SchemaError("$: invalid JSON (nested too deeply)") from exc
         report = run(job, args)
+        if args.csv:
+            _write_csv(report, args.csv)
     except SchemaError as exc:
         sys.stdout.write(canonical_dumps({"error": "schema", "message": str(exc)}) + "\n")
         return 2
@@ -376,8 +381,6 @@ def main(argv=None) -> int:
         return 2
 
     sys.stdout.write(canonical_dumps(report) + "\n")
-    if args.csv:
-        _write_csv(report, args.csv)
     if report.get("command") == "check" and not report["all_passed"]:
         return 1
     return 0

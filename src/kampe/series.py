@@ -22,7 +22,6 @@ weighting each term x^r y^s with the falling factorials of r and s.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -241,40 +240,21 @@ def _shape_ratios(shape: KdFShape, start: int, stop: int):
             _ratios(shape.upper_y, shape.lower_y, start, stop, True))
 
 
-class _RatioSeqs:
-    """The ratios of one shape as lists, extended on demand (`_shape_ratios`).
-
-    Shared between threads through `_ratio_cache`: `extend` takes the lock
-    only when the lists are too short and checks the length again under
-    it.  `ys` grows last, so every index below ``len(ys)`` is readable in
-    all three lists without the lock.
-    """
-
-    __slots__ = ("shape", "joint", "xs", "ys", "_lock")
-
-    def __init__(self, shape: KdFShape):
-        self.shape = shape
-        self.joint: list[float] = []
-        self.xs: list[float] = []
-        self.ys: list[float] = []
-        self._lock = threading.Lock()
-
-    def extend(self, upto: int) -> None:
-        if upto < len(self.ys):
-            return
-        with self._lock:
-            start = len(self.ys)
-            if upto < start:
-                return
-            joint, xs, ys = _shape_ratios(self.shape, start, max(upto + 1, 2 * start, 16))
-            self.joint.extend(joint.tolist())
-            self.xs.extend(xs.tolist())
-            self.ys.extend(ys.tolist())
-
-
 @lru_cache(maxsize=512)
-def _ratio_cache(shape: KdFShape) -> _RatioSeqs:
-    return _RatioSeqs(shape)
+def _ratio_table(shape: KdFShape, size: int) -> tuple:
+    """`_shape_ratios(shape, 0, size)` as three tuples.  Never changed once
+    made, so threads share the memo without a lock; each ratio depends only
+    on its index, so a larger table starts with a smaller one's entries."""
+    return tuple(tuple(r.tolist()) for r in _shape_ratios(shape, 0, size))
+
+
+def _ratios_covering(shape: KdFShape, n: int) -> tuple:
+    """The ratio tables of `shape` with at least n entries; sizes are powers
+    of two from 16 up, so a sweep of N diagonals asks for O(log N) tables."""
+    size = 16
+    while size < n:
+        size *= 2
+    return _ratio_table(shape, size)
 
 
 def classify_convergence(shape: KdFShape) -> ConvergenceRegion:
@@ -335,7 +315,8 @@ _OVERFLOW_GUARD = 1e280
 
 def _sweep_setup(shape: KdFShape, policy: TruncationPolicy):
     """(validation report, last diagonal of a fully terminating shape or None,
-    diagonal cap) shared by both sweeps; raises PoleError for undefined shapes."""
+    diagonal cap, status of a sweep that meets the stopping rule) shared by
+    the sweeps; raises PoleError for undefined shapes."""
     report = validate_shape(shape)
     if report.undefined:
         raise PoleError("; ".join(report.messages))
@@ -345,16 +326,37 @@ def _sweep_setup(shape: KdFShape, policy: TruncationPolicy):
     elif report.terminates_x is not None and report.terminates_y is not None:
         finite_all = report.terminates_x + report.terminates_y
     n_cap = policy.max_diagonal if finite_all is None else min(finite_all, policy.max_diagonal)
-    return report, finite_all, n_cap
+    status_on_stop = SeriesStatus.TERMINATING if report.terminating else SeriesStatus.CONVERGED
+    return report, finite_all, n_cap, status_on_stop
 
 
-def _next_diagonal(seqs: _RatioSeqs, terms: list[float], nd: int, x: float, y: float):
+def _pole_error() -> PoleError:
+    return PoleError("lower Pochhammer factor vanishes inside a live diagonal")
+
+
+def _overflow_error(nd: int) -> DivergenceError:
+    return DivergenceError(f"terms exceed double range at diagonal {nd}; value not representable")
+
+
+def _growth_error() -> DivergenceError:
+    return DivergenceError(
+        f"{_GROW_LIMIT} consecutive growing diagonals outside the convergence region")
+
+
+def _cap_tail(last: float, before: float) -> float:
+    """Geometric tail after a sweep truncated at its cap: the ratio of the
+    last two diagonal sums, capped at 0.99 (0.99 also when fewer than two
+    were summed, passed as before = 0, or the earlier one is zero)."""
+    rho = min(0.99, abs(last / before)) if before != 0.0 else 0.99
+    return abs(last) * rho / (1.0 - rho)
+
+
+def _next_diagonal(joint, xs, ys, terms: list[float], nd: int, x: float, y: float):
     """The terms of diagonal nd >= 1 from those of diagonal nd - 1, one ratio
-    update each (the recursion of `kdf_eval` and `kdf_eval_jet`); a zero term
-    or coordinate gives a zero successor without a multiply."""
-    seqs.extend(nd - 1)
-    jr = seqs.joint[nd - 1]
-    ys = seqs.ys
+    update each (the recursion of `kdf_eval` and `kdf_eval_jet`), with ratio
+    tables covering index nd - 1; a zero term or coordinate gives a zero
+    successor without a multiply."""
+    jr = joint[nd - 1]
     new_terms = [0.0] * (nd + 1)
     if y != 0.0:
         jy = jr * y
@@ -365,7 +367,7 @@ def _next_diagonal(seqs: _RatioSeqs, terms: list[float], nd: int, x: float, y: f
     if x != 0.0:
         t = terms[nd - 1]
         if t != 0.0:
-            new_terms[nd] = t * jr * seqs.xs[nd - 1] * x
+            new_terms[nd] = t * jr * xs[nd - 1] * x
     return new_terms
 
 
@@ -382,25 +384,26 @@ def kdf_eval(shape: KdFShape, point, policy: TruncationPolicy | None = None) -> 
     """
     if policy is None:
         policy = DEFAULT_POLICY
-    report, finite_all, n_cap = _sweep_setup(shape, policy)
+    report, finite_all, n_cap, status_on_stop = _sweep_setup(shape, policy)
     x, y = float(point[0]), float(point[1])
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError(f"point ({x}, {y}) is not finite")
 
     in_reg = _effectively_in_region(shape, report, (x, y))
-    seqs = _ratio_cache(shape)
-    status_on_stop = SeriesStatus.TERMINATING if report.terminating else SeriesStatus.CONVERGED
+    joint = xs = ys = ()
 
     terms = [1.0]
     total = 1.0
     prev_d = 1.0
+    before = 0.0
     small = 0
     grow = 0
     n_used = 0
-    tail = 0.0
 
     for nd in range(1, n_cap + 1):
-        new_terms = _next_diagonal(seqs, terms, nd, x, y)
+        if nd > len(ys):
+            joint, xs, ys = _ratios_covering(shape, nd)
+        new_terms = _next_diagonal(joint, xs, ys, terms, nd, x, y)
         d = 0.0
         peak = 0.0
         for t in new_terms:
@@ -409,10 +412,9 @@ def kdf_eval(shape: KdFShape, point, policy: TruncationPolicy | None = None) -> 
             if a > peak:
                 peak = a
         if math.isnan(d):
-            raise PoleError("lower Pochhammer factor vanishes inside a live diagonal")
+            raise _pole_error()
         if peak > _OVERFLOW_GUARD or not math.isfinite(d):
-            raise DivergenceError(
-                f"terms exceed double range at diagonal {nd}; value not representable")
+            raise _overflow_error(nd)
         total += d
         n_used = nd
         terms = new_terms
@@ -425,8 +427,7 @@ def kdf_eval(shape: KdFShape, point, policy: TruncationPolicy | None = None) -> 
         if abs(d) > abs(prev_d):
             grow += 1
             if grow >= _GROW_LIMIT and not in_reg:
-                raise DivergenceError(
-                    f"{_GROW_LIMIT} consecutive growing diagonals outside the convergence region")
+                raise _growth_error()
         else:
             grow = 0
         if small >= policy.consecutive_small and finite_all is None:
@@ -434,13 +435,11 @@ def kdf_eval(shape: KdFShape, point, policy: TruncationPolicy | None = None) -> 
             tail = abs(d) * rho / (1.0 - rho)
             if tail <= policy.rel_tol * scale:
                 return SeriesResult(total, n_used, tail, status_on_stop)
-        prev_d = d
+        before, prev_d = prev_d, d
 
     if finite_all is not None and n_cap == finite_all:
         return SeriesResult(total, n_used, 0.0, SeriesStatus.TERMINATING)
-    rho = min(0.99, abs(prev_d)) if prev_d != 0.0 else 0.0
-    tail = abs(prev_d) * rho / (1.0 - rho)
-    return SeriesResult(total, n_used, tail, SeriesStatus.TRUNCATED_AT_CAP)
+    return SeriesResult(total, n_used, _cap_tail(prev_d, before), SeriesStatus.TRUNCATED_AT_CAP)
 
 
 def kdf_eval_points(shape: KdFShape, xs, ys,
@@ -462,7 +461,7 @@ def kdf_eval_points(shape: KdFShape, xs, ys,
     """
     if policy is None:
         policy = DEFAULT_POLICY
-    report, finite_all, n_cap = _sweep_setup(shape, policy)
+    report, finite_all, n_cap, status_on_stop = _sweep_setup(shape, policy)
     x = np.array(xs, dtype=float).ravel()
     y = np.array(ys, dtype=float).ravel()
     if x.shape != y.shape:
@@ -472,7 +471,6 @@ def kdf_eval_points(shape: KdFShape, xs, ys,
 
     m = x.size
     in_reg = np.broadcast_to(_effectively_in_region(shape, report, (x, y)), (m,))
-    status_on_stop = SeriesStatus.TERMINATING if report.terminating else SeriesStatus.CONVERGED
     values = np.ones(m)
     used = np.zeros(m, dtype=int)
     tails = np.zeros(m)
@@ -485,6 +483,7 @@ def kdf_eval_points(shape: KdFShape, xs, ys,
     terms = np.ones((m, 1))
     total = np.ones(m)
     prev_d = np.ones(m)
+    before = np.zeros(m)
     small = np.zeros(m, dtype=int)
     grow = np.zeros(m, dtype=int)
     xl, yl = x, y[:, None]
@@ -495,7 +494,7 @@ def kdf_eval_points(shape: KdFShape, xs, ys,
             if not live.size:
                 break
             if nd > joint.size:
-                joint, xr, yr = _shape_ratios(shape, 0, min(max(2 * joint.size, 16), n_cap))
+                joint, xr, yr = map(np.array, _ratios_covering(shape, nd))
             jr = joint[nd - 1]
             new = np.empty((live.size, nd + 1))
             np.multiply(terms * (jr * yl), yr[nd - 1::-1], out=new[:, :nd])
@@ -530,19 +529,13 @@ def kdf_eval_points(shape: KdFShape, xs, ys,
                 done &= ~failed & (tail <= policy.rel_tol * scale)
             else:
                 done = np.zeros(live.size, dtype=bool)
-            prev_d = d
+            before, prev_d = prev_d, d
 
             if failed.any() or done.any():
                 for row in np.flatnonzero(failed):
-                    if pole[row]:
-                        exc = PoleError("lower Pochhammer factor vanishes inside a live diagonal")
-                    elif overflow[row]:
-                        exc = DivergenceError(
-                            f"terms exceed double range at diagonal {nd}; value not representable")
-                    else:
-                        exc = DivergenceError(f"{_GROW_LIMIT} consecutive growing diagonals "
-                                              "outside the convergence region")
-                    errors[int(live[row])] = exc
+                    errors[int(live[row])] = (_pole_error() if pole[row]
+                                              else _overflow_error(nd) if overflow[row]
+                                              else _growth_error())
                 if done.any():
                     idx = live[done]
                     values[idx] = total[done]
@@ -551,7 +544,8 @@ def kdf_eval_points(shape: KdFShape, xs, ys,
                     for i in idx:
                         statuses[i] = status_on_stop
                 keep = ~(failed | done)
-                live, terms, total, prev_d = live[keep], terms[keep], total[keep], prev_d[keep]
+                live, terms, total = live[keep], terms[keep], total[keep]
+                prev_d, before = prev_d[keep], before[keep]
                 small, grow, in_reg = small[keep], grow[keep], in_reg[keep]
                 xl, yl = xl[keep], yl[keep]
 
@@ -563,8 +557,7 @@ def kdf_eval_points(shape: KdFShape, xs, ys,
         if finite_all is not None and n_cap == finite_all:
             rest = SeriesStatus.TERMINATING
         else:
-            rho = np.where(prev_d != 0.0, np.minimum(0.99, np.abs(prev_d)), 0.0)
-            tails[live] = np.abs(prev_d) * rho / (1.0 - rho)
+            tails[live] = [_cap_tail(a, b) for a, b in zip(prev_d.tolist(), before.tolist())]
             rest = SeriesStatus.TRUNCATED_AT_CAP
     for i in live:
         statuses[i] = rest
@@ -648,7 +641,7 @@ class _JetOrder:
     `advance` runs `kdf_eval`'s stopping rule and checks on them."""
 
     __slots__ = ("order", "start", "last", "coeff", "finite",
-                 "total", "prev", "small", "grow")
+                 "total", "prev", "before", "small", "grow")
 
     def __init__(self, order, coeff: float, finite_all, max_diagonal: int):
         self.order = order
@@ -658,7 +651,7 @@ class _JetOrder:
         cap = max_diagonal if self.finite is None else min(self.finite, max_diagonal)
         self.last = self.start + cap
         self.coeff = abs(coeff)
-        self.total = self.prev = 0.0
+        self.total = self.prev = self.before = 0.0
         self.small = self.grow = 0
 
     def advance(self, sums, peaks, n0: int, rule):
@@ -667,7 +660,8 @@ class _JetOrder:
         error once it ends there, else None."""
         rel_tol, consecutive, in_reg, status_on_stop = rule
         start, last, finite = self.start, self.last, self.finite
-        total, prev, small, grow = self.total, self.prev, self.small, self.grow
+        total, prev, before = self.total, self.prev, self.before
+        small, grow = self.small, self.grow
         floor = _TINY * self.coeff
         b = max(start - n0, 0)
         stop = min(len(sums), last - n0 + 1)
@@ -677,10 +671,9 @@ class _JetOrder:
         while b < stop:
             d = sums[b]
             if math.isnan(d):
-                return PoleError("lower Pochhammer factor vanishes inside a live diagonal")
+                return _pole_error()
             if not math.isfinite(d) or (peaks and peaks[b] > _OVERFLOW_GUARD):
-                return DivergenceError(f"terms exceed double range at diagonal "
-                                       f"{n0 + b - start}; value not representable")
+                return _overflow_error(n0 + b - start)
             total += d
             scale = max(abs(total), floor)
             abs_d = abs(d)
@@ -688,8 +681,7 @@ class _JetOrder:
             if abs_d > abs(prev):
                 grow += 1
                 if grow >= _GROW_LIMIT and not in_reg:
-                    return DivergenceError(f"{_GROW_LIMIT} consecutive growing diagonals "
-                                           "outside the convergence region")
+                    return _growth_error()
             else:
                 grow = 0
             if small >= consecutive and finite is None:
@@ -697,15 +689,15 @@ class _JetOrder:
                 tail = abs_d * rho / (1.0 - rho)
                 if tail <= rel_tol * scale:
                     return SeriesResult(total, n0 + b - start, tail, status_on_stop)
-            prev = d
+            before, prev = prev, d
             b += 1
         if b == last - n0 + 1:  # summed every diagonal up to the cap
             if finite is not None and last - start == finite:
                 return SeriesResult(total, last - start, 0.0, SeriesStatus.TERMINATING)
-            rho = min(0.99, abs(prev) / self.coeff) if prev != 0.0 else 0.0
-            return SeriesResult(total, last - start, abs(prev) * rho / (1.0 - rho),
+            return SeriesResult(total, last - start, _cap_tail(prev, before),
                                 SeriesStatus.TRUNCATED_AT_CAP)
-        self.total, self.prev, self.small, self.grow = total, prev, small, grow
+        self.total, self.prev, self.before = total, prev, before
+        self.small, self.grow = small, grow
         return None
 
 
@@ -761,11 +753,10 @@ def kdf_eval_jet(shape: KdFShape, point, orders,
         raise ValueError("derivative orders must be >= 0")
     if req and set(req) == {(0, 0)}:
         return [kdf_eval(shape, point, policy)] * len(req)
-    report, finite_all, _ = _sweep_setup(shape, policy)
+    report, finite_all, _, status_on_stop = _sweep_setup(shape, policy)
     x, y = float(point[0]), float(point[1])
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError(f"point ({x}, {y}) is not finite")
-    status_on_stop = SeriesStatus.TERMINATING if report.terminating else SeriesStatus.CONVERGED
     rule = (policy.rel_tol, policy.consecutive_small,
             _effectively_in_region(shape, report, (x, y)), status_on_stop)
 
@@ -790,7 +781,7 @@ def kdf_eval_jet(shape: KdFShape, point, orders,
     shifted_unit = np.abs(powers) * [o.coeff for o in swept]
     results: dict = {}
     live = list(range(len(swept)))  # swept[0] is the order (0, 0)
-    seqs = _ratio_cache(shape)
+    joint = xs = ys = ()
     terms: list[float] = []
     size = 0
     n0 = 0
@@ -798,8 +789,10 @@ def kdf_eval_jet(shape: KdFShape, point, orders,
         nb = min(_JET_BLOCK, max(swept[k].last for k in live) + 1 - n0)
         width = n0 + nb
         block = np.zeros((nb, width))
+        if width - 1 > len(ys):
+            joint, xs, ys = _ratios_covering(shape, width - 1)
         for b in range(nb):
-            terms = _next_diagonal(seqs, terms, n0 + b, x, y) if n0 + b else [1.0]
+            terms = _next_diagonal(joint, xs, ys, terms, n0 + b, x, y) if n0 + b else [1.0]
             block[b, :n0 + b + 1] = terms
         if size < width:
             size = 2 * width

@@ -58,6 +58,18 @@ def test_eval_grid_csv(tmp_path, capsys, monkeypatch):
     assert all(line.endswith("converged") for line in lines[1:])
 
 
+def test_csv_to_unwritable_path_is_an_io_error(tmp_path, capsys, monkeypatch):
+    # the CSV is written before the report, so stdout holds only the error
+    job = {"command": "eval", "function": "F0211",
+           "params": {"b": 0.5, "c": 0.5, "d": 0.5, "e": 1.5, "g": 1.5},
+           "points": [[0.1, 0.2]]}
+    code, out = run_cli(capsys, monkeypatch, job,
+                        ["--csv", str(tmp_path / "missing" / "out.csv")])
+    assert code == 2
+    assert len(out.splitlines()) == 1
+    assert json.loads(out)["error"] == "io"
+
+
 def test_raw_shape_eval(capsys, monkeypatch):
     job = {"command": "eval",
            "shape": {"upper_joint": [0.75]},
@@ -159,7 +171,10 @@ def test_schema_errors(capsys, monkeypatch):
             ({**cauchy, "nodes": 4097}, "nodes"),
             ({"command": "check", "nodes": 0}, "nodes"),
             ({"command": "check", "checks": [[1]]}, "checks"),
-            ({"command": "check", "checks": [{}]}, "checks")):
+            ({"command": "check", "checks": [{}]}, "checks"),
+            ({"command": "check", "checks": []}, "checks"),
+            ({"command": "eval", "points": [[0.1, 0.1]],
+              "shape": {"upper_x": [0.5] * 9}}, "shape")):
         code, out = run_cli(capsys, monkeypatch, job)
         assert code == 2, job
         assert json.loads(out)["message"].startswith(path + ":"), out

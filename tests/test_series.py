@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from kampe import (DivergenceError, KdFShape, ParamsF0211, ParamsXi2, PoleError,
                    SeriesStatus, TruncationPolicy, classify_convergence,
                    in_region, kdf_derivative_shape, kdf_eval,
-                   kdf_eval_derivative, shape_f0211, shape_f1211,
+                   kdf_eval_derivative, kdf_eval_jet, kdf_eval_points,
+                   shape_f0211, shape_f1211,
                    shape_xi2, validate_shape, ParamsF1211)
 from oracles import hyp1d, shape_double_sum
 
@@ -123,6 +124,40 @@ def test_eval_converged_tail_invariant():
     res = kdf_eval(F0211, (0.4, 0.7), policy)
     assert res.status is SeriesStatus.CONVERGED
     assert res.tail_estimate <= 1e-10 * max(abs(res.value), 1e-300)
+
+
+# (shape, point, cap, whether the terms keep one sign): each sweep stops at
+# the cap long before it converges
+_F0211_B = shape_f0211(ParamsF0211(0.8, 0.5, 0.9, 1.3, 1.1))
+_F1211 = shape_f1211(ParamsF1211(0.7, 0.8, 0.5, 0.9, 1.3, 1.6, 1.1))
+_TRUNCATED = [
+    (_F0211_B, (0.95, 0.5), 40, True),
+    (_F0211_B, (0.9, 5.0), 100, True),
+    (_F1211, (0.5, 0.3), 30, True),
+    (_F1211, (0.3, 0.4), 10, True),
+    (XI2, (0.9, 2.0), 50, True),
+    (F0211, (0.97, -1.0), 120, True),
+    (_F0211_B, (-0.9, -3.0), 60, False),
+    (XI2, (-0.95, 0.0), 80, False),
+]
+
+
+def test_cap_tail_tracks_true_error():
+    # the tail of a truncated sum is within a factor 10 of its true error
+    # (taken from the converged sum), for the value and for a jet partial;
+    # on alternating terms the geometric tail may only overestimate
+    converged = TruncationPolicy(max_diagonal=20000)
+    for shape, point, cap, one_sign in _TRUNCATED:
+        policy = TruncationPolicy(max_diagonal=cap)
+        for got, want in ((kdf_eval(shape, point, policy), kdf_eval(shape, point, converged)),
+                          (kdf_eval_jet(shape, point, [(1, 1)], policy)[0],
+                           kdf_eval_derivative(shape, point, 1, 1, converged))):
+            assert got.status is SeriesStatus.TRUNCATED_AT_CAP
+            assert want.status is SeriesStatus.CONVERGED
+            error = abs(got.value - want.value)
+            assert got.tail_estimate >= error / 10, (point, cap)
+            if one_sign:
+                assert got.tail_estimate <= 10 * error, (point, cap)
 
 
 def test_eval_pole_gate():
@@ -262,8 +297,8 @@ def test_converges_within_cap_near_origin(x, y):
 
 def test_concurrent_first_use_of_a_shape_matches_serial():
     # four threads evaluate a shape nobody has evaluated yet, so they all
-    # extend its shared ratio lists at once; a short switch interval makes
-    # the interleaving likely
+    # fill its shared ratio memo at once; a short switch interval makes the
+    # interleaving likely
     import sys
     import threading
 
@@ -291,41 +326,33 @@ def test_concurrent_first_use_of_a_shape_matches_serial():
             for th in threads:
                 th.join(timeout=60)
                 assert not th.is_alive()
-            series._ratio_cache.cache_clear()
+            series._ratio_table.cache_clear()
             want = kdf_eval(shape, point)
             assert outcomes == [want] * 4, f"trial {trial}: {outcomes}"
     finally:
         sys.setswitchinterval(old_interval)
 
 
-def test_ratio_extension_is_atomic(monkeypatch):
-    # a slow ratio computation holds all four threads inside `extend` at
-    # once, so an extension that is not atomic appends duplicates
-    import threading
-    import time
-
+def test_ratio_memo_gives_the_same_bits_cold_and_after_a_long_sweep():
     from kampe import series
 
-    compute = series._shape_ratios
+    shape = _F1211
+    points = [(0.3, 0.4), (0.05, -0.1), (0.6, 0.2)]
+    orders = [(0, 0), (1, 0), (0, 1), (2, 1)]
 
-    def slow(*args):
-        time.sleep(0.005)
-        return compute(*args)
+    def bits():
+        out = []
+        for p in points:
+            res = [kdf_eval(shape, p)] + kdf_eval_jet(shape, p, orders)
+            out += [(r.value.hex(), r.tail_estimate.hex(), r.diagonals_used) for r in res]
+        batch = kdf_eval_points(shape, [p[0] for p in points], [p[1] for p in points])
+        out += [(v.hex(), t.hex()) for v, t in zip(batch.values.tolist(),
+                                                   batch.tail_estimates.tolist())]
+        return out
 
-    monkeypatch.setattr(series, "_shape_ratios", slow)
-    seqs = series._RatioSeqs(F0211)
-    start = threading.Barrier(4)
-
-    def run():
-        start.wait(timeout=60)
-        seqs.extend(40)
-
-    threads = [threading.Thread(target=run) for _ in range(4)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join(timeout=60)
-        assert not th.is_alive()
-    joint, xs, ys = compute(F0211, 0, len(seqs.ys))
-    assert len(seqs.ys) > 40
-    assert (seqs.joint, seqs.xs, seqs.ys) == (joint.tolist(), xs.tolist(), ys.tolist())
+    series._ratio_table.cache_clear()
+    cold = bits()
+    long = kdf_eval(shape, (0.99, 0.0), TruncationPolicy(max_diagonal=600))
+    assert long.diagonals_used == 600
+    assert series._ratio_table.cache_info().currsize >= 7  # sizes 16 .. 1024
+    assert bits() == cold
