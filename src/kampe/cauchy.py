@@ -35,8 +35,7 @@ from scipy.special import roots_jacobi
 from .core import gamma_ratio, is_nonpositive_int
 from .errors import ConvergenceWarning, DomainError, ParameterError, PoleError
 from .named import ParamsF0211, ParamsXi2, shape_f0211, shape_xi2
-from .series import (DEFAULT_POLICY, PointsResult, SeriesStatus, TruncationPolicy,
-                     kdf_derivative_shape, kdf_eval_points)
+from .series import DEFAULT_POLICY, PointsResult, SeriesStatus, TruncationPolicy, kdf_eval_points
 
 
 @dataclass(frozen=True)
@@ -132,10 +131,10 @@ def _converged(res: PointsResult) -> bool:
 
 def _tau_kernel(problem: CauchyProblem, xi: float, eta: float, t: np.ndarray,
                 policy: TruncationPolicy) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(H, F, all three series converged) at the abscissae t.
+    """(H, F, F and both partials converged) at the abscissae t.
 
-    F, dF/dsigma and dF/drho are each one `kdf_eval_points` sweep over all
-    abscissae; the derivatives are parameter shifts of F.
+    F, dF/dsigma and dF/drho come from one `kdf_eval_points` sweep over all
+    abscissae.
     """
     if not np.all((xi < t) & (t < eta)):
         raise DomainError(f"t = {t} not strictly inside ({xi}, {eta})")
@@ -144,16 +143,12 @@ def _tau_kernel(problem: CauchyProblem, xi: float, eta: float, t: np.ndarray,
     s = sigma(xi, eta, t)
     r = rho(xi, eta, t, lam)
     mid = eta + xi - 2.0 * t
-    fv = kdf_eval_points(shape, s, r, policy)
-    cs, shape_s = kdf_derivative_shape(shape, 1, 0)
-    fs = kdf_eval_points(shape_s, s, r, policy)
-    cr, shape_r = kdf_derivative_shape(shape, 0, 1)
-    fr = kdf_eval_points(shape_r, s, r, policy)
+    fv, fs, fr = kdf_eval_points(shape, s, r, policy, [(0, 0), (1, 0), (0, 1)])
     good = _converged(fv) and _converged(fs) and _converged(fr)
     h = (2.0 * (1.0 + 2.0 * b) * fv.values
          - (a / t) * mid * fv.values
-         - mid * (cs * fs.values) * dsigma_dt(xi, eta, t)
-         + 4.0 * r * (cr * fr.values))
+         - mid * fs.values * dsigma_dt(xi, eta, t)
+         + 4.0 * r * fr.values)
     return h, fv.values, good
 
 

@@ -14,7 +14,7 @@ import math
 import sys
 
 from . import cauchy, checks, frobenius, named, pde, series
-from .errors import DegenerateError, KampeError, SchemaError
+from .errors import DegenerateError, DivergenceError, KampeError, SchemaError
 
 _COMMANDS = ("eval", "convergence", "residual", "solutions", "cauchy", "check")
 _FUNCTIONS = ("F1211", "F0211", "XI2")
@@ -200,12 +200,13 @@ def _cmd_eval(job, args):
     policy = _policy(job, args)
     rows = []
     for (x, y) in _points(job):
+        # a divergence belongs to its point; a pole of the shape ends the job
         try:
             res = series.kdf_eval(shape, (x, y), policy)
             rows.append({"x": x, "y": y, "value": res.value,
                          "status": res.status.value, "diagonals": res.diagonals_used,
                          "tail": res.tail_estimate})
-        except KampeError as exc:
+        except DivergenceError as exc:
             rows.append({"x": x, "y": y, "value": math.nan,
                          "status": "diverged", "diagonals": 0, "tail": math.inf,
                          "error": str(exc)})

@@ -15,8 +15,8 @@ is what makes the recursion overflow-safe inside the convergence region).
 Exact partial derivatives are parameter shifts: one x-derivative multiplies
 by prod(a) prod(b) / (prod(alpha) prod(beta)) and increments every joint
 and x-group entry by one; y-derivatives act on the joint and y-groups.
-`kdf_eval_jet` gets many partials at one point from one sweep instead, by
-weighting each term x^r y^s with the falling factorials of r and s.
+`kdf_eval_points` gets many partials at many points from one sweep instead,
+by weighting each term x^r y^s with the falling factorials of r and s.
 """
 
 from __future__ import annotations
@@ -353,7 +353,7 @@ def _cap_tail(last: float, before: float) -> float:
 
 def _next_diagonal(joint, xs, ys, terms: list[float], nd: int, x: float, y: float):
     """The terms of diagonal nd >= 1 from those of diagonal nd - 1, one ratio
-    update each (the recursion of `kdf_eval` and `kdf_eval_jet`), with ratio
+    update each (the recursion of `kdf_eval` and one-point sweeps), with ratio
     tables covering index nd - 1; a zero term or coordinate gives a zero
     successor without a multiply."""
     jr = joint[nd - 1]
@@ -442,128 +442,6 @@ def kdf_eval(shape: KdFShape, point, policy: TruncationPolicy | None = None) -> 
     return SeriesResult(total, n_used, _cap_tail(prev_d, before), SeriesStatus.TRUNCATED_AT_CAP)
 
 
-def kdf_eval_points(shape: KdFShape, xs, ys,
-                    policy: TruncationPolicy | None = None) -> PointsResult:
-    """Sum one shape at every point (xs[i], ys[i]) in one numpy diagonal sweep.
-
-    Point for point this is `kdf_eval`: the same term recursion and
-    multiply order, diagonal sums accumulated left to right (`cumsum`, not
-    a pairwise sum), the same stopping rule, tail estimate and statuses, so
-    values, diagonals and tails agree to the bit.  Each point leaves the
-    sweep when it stops.  Shape validation and region classification run
-    once per call.  A point that hits a pole or diverges raises what
-    `kdf_eval` raises there; with several such points, that of the lowest
-    index.  Any non-finite coordinate raises DomainError.  Per diagonal the
-    numpy calls cost a fixed ~40 us, so against a loop of `kdf_eval` this
-    pays from about two points on long sweeps (near the radius of
-    convergence) and from a few dozen on short ones; `kdf_eval` stays the
-    one-point path.
-    """
-    if policy is None:
-        policy = DEFAULT_POLICY
-    report, finite_all, n_cap, status_on_stop = _sweep_setup(shape, policy)
-    x = np.array(xs, dtype=float).ravel()
-    y = np.array(ys, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"{x.size} x-coordinates but {y.size} y-coordinates")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise DomainError("point coordinates are not all finite")
-
-    m = x.size
-    in_reg = np.broadcast_to(_effectively_in_region(shape, report, (x, y)), (m,))
-    values = np.ones(m)
-    used = np.zeros(m, dtype=int)
-    tails = np.zeros(m)
-    statuses: list[SeriesStatus | None] = [None] * m
-    errors: dict[int, Exception] = {}
-
-    # state of the points still summing, one row each; `live` maps rows to
-    # point indices.  y-side arrays are columns, to scale rows of `terms`.
-    live = np.arange(m)
-    terms = np.ones((m, 1))
-    total = np.ones(m)
-    prev_d = np.ones(m)
-    before = np.zeros(m)
-    small = np.zeros(m, dtype=int)
-    grow = np.zeros(m, dtype=int)
-    xl, yl = x, y[:, None]
-    joint = xr = yr = np.empty(0)
-
-    with np.errstate(all="ignore"):
-        for nd in range(1, n_cap + 1):
-            if not live.size:
-                break
-            if nd > joint.size:
-                joint, xr, yr = map(np.array, _ratios_covering(shape, nd))
-            jr = joint[nd - 1]
-            new = np.empty((live.size, nd + 1))
-            np.multiply(terms * (jr * yl), yr[nd - 1::-1], out=new[:, :nd])
-            new[:, nd] = terms[:, nd - 1] * jr * xr[nd - 1] * xl
-            d = np.cumsum(new, axis=1)[:, -1]
-            # The products above skip nothing.  A product kdf_eval skips (a
-            # zero term, or a zero coordinate) comes out here as +-0, which
-            # can flip the sign of a zero d but changes no total or test, or
-            # as NaN or inf when a ratio is not finite; only then are
-            # kdf_eval's skips applied before its checks.
-            pole = overflow = np.zeros(live.size, dtype=bool)
-            if not np.isfinite(d).all() or np.abs(new).max() > _OVERFLOW_GUARD:
-                new[:, :nd] = np.where((terms != 0.0) & (yl != 0.0), new[:, :nd], 0.0)
-                new[:, nd] = np.where((terms[:, nd - 1] != 0.0) & (xl != 0.0), new[:, nd], 0.0)
-                d = np.cumsum(new, axis=1)[:, -1]
-                pole = np.isnan(d)
-                overflow = ~pole & ((np.abs(new).max(axis=1) > _OVERFLOW_GUARD)
-                                    | ~np.isfinite(d))
-            total = total + d
-            terms = new
-
-            abs_d = np.abs(d)
-            scale = np.maximum(np.abs(total), _TINY)
-            small = np.where(abs_d <= policy.rel_tol * scale, small + 1, 0)
-            grow = np.where(abs_d > np.abs(prev_d), grow + 1, 0)
-            diverged = ~pole & ~overflow & (grow >= _GROW_LIMIT) & ~in_reg
-            failed = pole | overflow | diverged
-            done = small >= policy.consecutive_small
-            if finite_all is None and done.any():
-                rho = np.where(prev_d != 0.0, np.minimum(0.99, np.abs(d / prev_d)), 0.0)
-                tail = abs_d * rho / (1.0 - rho)
-                done &= ~failed & (tail <= policy.rel_tol * scale)
-            else:
-                done = np.zeros(live.size, dtype=bool)
-            before, prev_d = prev_d, d
-
-            if failed.any() or done.any():
-                for row in np.flatnonzero(failed):
-                    errors[int(live[row])] = (_pole_error() if pole[row]
-                                              else _overflow_error(nd) if overflow[row]
-                                              else _growth_error())
-                if done.any():
-                    idx = live[done]
-                    values[idx] = total[done]
-                    used[idx] = nd
-                    tails[idx] = tail[done]
-                    for i in idx:
-                        statuses[i] = status_on_stop
-                keep = ~(failed | done)
-                live, terms, total = live[keep], terms[keep], total[keep]
-                prev_d, before = prev_d[keep], before[keep]
-                small, grow, in_reg = small[keep], grow[keep], in_reg[keep]
-                xl, yl = xl[keep], yl[keep]
-
-        if errors:
-            raise errors[min(errors)]
-        # points still live summed every diagonal up to the cap
-        values[live] = total
-        used[live] = n_cap
-        if finite_all is not None and n_cap == finite_all:
-            rest = SeriesStatus.TERMINATING
-        else:
-            tails[live] = [_cap_tail(a, b) for a, b in zip(prev_d.tolist(), before.tolist())]
-            rest = SeriesStatus.TRUNCATED_AT_CAP
-    for i in live:
-        statuses[i] = rest
-    return PointsResult(values, used, tails, tuple(statuses))
-
-
 def _shift_all(params, by: int = 1):
     return tuple(a + by for a in params)
 
@@ -619,6 +497,9 @@ def kdf_eval_derivative(shape: KdFShape, point, dx: int, dy: int,
 
 _JET_BLOCK = 16
 _JET_RANGE = 2.0 ** 900
+# term entries one block of a many-point sweep may hold (1 MB), so that a
+# sweep over thousands of points takes fewer diagonals per block
+_BLOCK_TERMS = 2 ** 17
 
 
 @lru_cache(maxsize=512)
@@ -635,16 +516,43 @@ def _jet_coefficients(shape: KdFShape, orders: tuple) -> tuple:
     return tuple(out)
 
 
-class _JetOrder:
-    """One order (i, j) of a jet.  Its weighted diagonal sums are coefficient
-    times the diagonal sums of its shifted series, from diagonal i + j on;
-    `advance` runs `kdf_eval`'s stopping rule and checks on them."""
+class _Outcome:
+    """A sweep's value, diagonals, tail and status at each (point, order), the
+    pairs the shift identity answers instead, and each failed point's error."""
 
-    __slots__ = ("order", "start", "last", "coeff", "finite",
-                 "total", "prev", "before", "small", "grow")
+    def __init__(self, m: int, n: int):
+        self.values = np.zeros((m, n))
+        self.used = np.zeros((m, n), dtype=int)
+        self.tails = np.zeros((m, n))
+        self.statuses = np.empty((m, n), dtype=object)
+        self.fallback = np.zeros((m, n), dtype=bool)
+        self.errors: dict[int, Exception] = {}
+
+    def record(self, p, k, value, used, tail, status) -> None:
+        """Points p and orders k: scalars, or index arrays of one length."""
+        self.values[p, k] = value
+        self.used[p, k] = used
+        self.tails[p, k] = tail
+        self.statuses[p, k] = status
+
+    def fail(self, p: int, k: int, error: Exception) -> None:
+        """Order k fails at point p: the point fails if k is (0, 0), where
+        `kdf_eval` fails, else the shift identity answers there."""
+        if k == 0:
+            self.errors[p] = error
+        else:
+            self.fallback[p, k] = True
+
+
+class _JetOrder:
+    """One order (i, j) of a sweep at one point.  Its weighted diagonal sums
+    are coefficient times the diagonal sums of its shifted series, from
+    diagonal i + j on; `advance` runs `kdf_eval`'s stopping rule and checks
+    on them."""
+
+    __slots__ = ("start", "last", "coeff", "finite", "total", "prev", "before", "small", "grow")
 
     def __init__(self, order, coeff: float, finite_all, max_diagonal: int):
-        self.order = order
         self.start = order[0] + order[1]
         # the shifted series terminates i + j diagonals before the shape's
         self.finite = None if finite_all is None else finite_all - self.start
@@ -656,8 +564,8 @@ class _JetOrder:
 
     def advance(self, sums, peaks, n0: int, rule):
         """Test diagonals n0, n0 + 1, ... of the block (sums, and the largest
-        shifted terms or None) in turn.  Returns the order's SeriesResult or
-        error once it ends there, else None."""
+        shifted terms or None) in turn.  Returns the order's (value,
+        diagonals, tail, status) or error once it ends there, else None."""
         rel_tol, consecutive, in_reg, status_on_stop = rule
         start, last, finite = self.start, self.last, self.finite
         total, prev, before = self.total, self.prev, self.before
@@ -688,156 +596,389 @@ class _JetOrder:
                 rho = min(0.99, abs(d / prev)) if prev != 0.0 else 0.0
                 tail = abs_d * rho / (1.0 - rho)
                 if tail <= rel_tol * scale:
-                    return SeriesResult(total, n0 + b - start, tail, status_on_stop)
+                    return total, n0 + b - start, tail, status_on_stop
             before, prev = prev, d
             b += 1
         if b == last - n0 + 1:  # summed every diagonal up to the cap
             if finite is not None and last - start == finite:
-                return SeriesResult(total, last - start, 0.0, SeriesStatus.TERMINATING)
-            return SeriesResult(total, last - start, _cap_tail(prev, before),
-                                SeriesStatus.TRUNCATED_AT_CAP)
+                return total, last - start, 0.0, SeriesStatus.TERMINATING
+            return total, last - start, _cap_tail(prev, before), SeriesStatus.TRUNCATED_AT_CAP
         self.total, self.prev, self.before = total, prev, before
         self.small, self.grow = small, grow
         return None
 
 
-def _falling_weights(orders, size: int):
+class _OnePoint:
+    """The sweep's two point-count dependent steps at one point: `kdf_eval`'s
+    loop makes the terms, and each order's `_JetOrder.advance` tests its
+    block of sums in turn."""
+
+    def __init__(self, jets, x, y, swept, in_reg, rule, out: _Outcome, powers, unit):
+        rel_tol, consecutive, status_on_stop = rule
+        self.rule = (rel_tol, consecutive, bool(in_reg[0]), status_on_stop)
+        self.jets, self.out = jets, out
+        self.x, self.y = float(x[0]), float(y[0])
+        self.live = np.flatnonzero(swept[0]).tolist()  # the orders still summing
+        self.terms: list[float] = []
+        self.powers, self.unit = powers, unit
+
+    @property
+    def points(self) -> int:
+        return 1 if self.live else 0
+
+    def last(self) -> int:
+        return max(self.jets[k].last for k in self.live)
+
+    def diagonals(self, block, joint, xs, ys, n0: int) -> None:
+        """Fill block[0, b] with diagonal n0 + b."""
+        one = block[0]
+        for n in range(n0, n0 + len(one)):
+            self.terms = _next_diagonal(joint, xs, ys, self.terms, n, self.x, self.y) if n else [1.0]
+            one[n - n0, :n + 1] = self.terms
+
+    def advance(self, sums, peaks, n0: int) -> None:
+        """Test the block's diagonals n0, n0 + 1, ... order by order."""
+        sums = sums[0].tolist()
+        peaks = [None] * len(sums) if peaks is None else peaks[0].tolist()
+        still = []
+        for k in self.live:
+            event = self.jets[k].advance(sums[k], peaks[k], n0, self.rule)
+            if event is None:
+                still.append(k)
+            elif isinstance(event, tuple):
+                self.out.record(0, k, *event)
+            else:
+                self.out.fail(0, k, event)
+        self.live = [] if self.out.errors else still
+
+
+class _Points:
+    """The sweep's two point-count dependent steps over many points: numpy
+    makes each diagonal for all points still summing, and the stopping rule
+    runs as array operations over (point, order, diagonal), `_JetOrder.advance`
+    for every pair of a block at once.  A pair ends at its first diagonal
+    that fails, stops or reaches its cap; a point leaves once all its pairs
+    end.  Row i belongs to point rows[i]."""
+
+    def __init__(self, jets, x, y, swept, in_reg, rule, out: _Outcome, powers, unit):
+        self.start = np.array([o.start for o in jets])[:, None]
+        self.last_at = np.array([o.last for o in jets])[:, None]
+        self.floor = _TINY * np.array([o.coeff for o in jets])[:, None]
+        self.open = np.array([o.finite is None for o in jets])[:, None]
+        self.exact = np.array([o.finite is not None and o.last - o.start == o.finite
+                               for o in jets])
+        self.rule, self.out = rule, out
+        self.rows, self.x, self.y = np.arange(x.size), x, y
+        self.powers, self.unit, self.on, self.in_reg = powers, unit, swept, in_reg
+        self.terms = None
+        self.total = np.zeros(swept.shape)
+        self.prev = np.zeros(swept.shape)
+        self.small = np.zeros(swept.shape, dtype=int)
+        self.grow = np.zeros(swept.shape, dtype=int)
+
+    @property
+    def points(self) -> int:
+        return self.rows.size
+
+    def last(self) -> int:
+        return self.last_at[self.on.any(axis=0), 0].max()
+
+    def diagonals(self, block, joint, xs, ys, n0: int) -> None:
+        """Fill block[i, b] with diagonal n0 + b at point rows[i]."""
+        joint, xs, ys = np.array(joint), np.array(xs), np.array(ys)
+        x, yc = self.x, self.y[:, None]
+        # a product kdf_eval skips (zero term or coordinate) comes out as +-0,
+        # which changes no total, or as NaN or inf where a ratio is not
+        # finite; only then is the block made again with kdf_eval's skips
+        for skips in (False, True):
+            new = self.terms
+            for b in range(block.shape[1]):
+                n, last = n0 + b, new
+                new = block[:, b, :n + 1]
+                if n == 0:
+                    new[:, 0] = 1.0
+                    continue
+                jr = joint[n - 1]
+                np.multiply(last * (jr * yc), ys[n - 1::-1], out=new[:, :n])
+                new[:, n] = last[:, n - 1] * jr * xs[n - 1] * x
+                if skips:
+                    new[:, :n] = np.where((last != 0.0) & (yc != 0.0), new[:, :n], 0.0)
+                    new[:, n] = np.where((last[:, n - 1] != 0.0) & (x != 0.0), new[:, n], 0.0)
+            if np.abs(block).max() <= _OVERFLOW_GUARD:
+                break
+        self.terms = new
+
+    def advance(self, d, peaks, n0: int) -> None:
+        """Test the block's diagonals n0, n0 + 1, ...: d[i, k, b] holds their
+        sums and peaks their largest shifted terms (or is None)."""
+        rel_tol, consecutive, status_on_stop = self.rule
+        nb = d.shape[2]
+        step = np.arange(nb)
+        n = n0 + step
+        live = self.on[:, :, None] & ((self.start <= n) & (n <= self.last_at))
+        rest = live & (self.start != n)
+        # each pair's totals, left to right from its first diagonal, where
+        # advance sets the total, and its previous diagonal sums
+        total = np.cumsum(np.concatenate([self.total[:, :, None], np.where(live, d, 0.0)],
+                                         axis=2), axis=2)[:, :, 1:]
+        prev = np.concatenate([self.prev[:, :, None], d[:, :, :-1]], axis=2)
+        abs_d = np.abs(d)
+        scale = np.maximum(np.abs(total), self.floor)
+
+        def runs(flags, carried):
+            """Consecutive true flags up to each diagonal, after `carried`."""
+            last_false = np.maximum.accumulate(np.where(flags, -1, step), axis=2)
+            return np.where(last_false < 0, carried[:, :, None] + step + 1, step - last_false)
+
+        small = runs(rest & (abs_d <= rel_tol * scale), self.small)
+        grow = self.grow[:, :, None]
+        failed = np.zeros(d.shape, dtype=bool)
+        if not self.in_reg.all():  # growth fails only outside the region
+            grow = runs(rest & (abs_d > np.abs(prev)), self.grow)
+            failed = rest & (grow >= _GROW_LIMIT) & ~self.in_reg[:, None, None]
+        if peaks is not None or not abs_d.max() < math.inf:
+            failed = failed | (rest & ~np.isfinite(d))
+            if peaks is not None:
+                failed |= rest & (peaks > _OVERFLOW_GUARD)
+        done = rest & (small >= consecutive) & self.open
+        if done.any():
+            rho = np.where(prev != 0.0, np.minimum(0.99, np.abs(d / prev)), 0.0)
+            tail = abs_d * rho / (1.0 - rho)
+            done &= tail <= rel_tol * scale
+        capped = live & (n == self.last_at)
+        ended = failed | done | capped
+        stops = ended.any(axis=2)
+        r, c = np.nonzero(stops)
+        b = ended[r, c].argmax(axis=1)
+        self.on = self.on & ~stops
+        self.total, self.prev = total[:, :, -1], d[:, :, -1]
+        self.small, self.grow = small[:, :, -1], grow[:, :, -1]
+
+        out, at = self.out, (r, c, b)
+        failed, done = failed[at], done[at]
+        rows, used, value = self.rows[r], n[b] - self.start[c, 0], total[at]
+        done &= ~failed
+        capped = ~failed & ~done
+        exact = capped & self.exact[c]
+        capped &= ~exact
+        if done.any():
+            out.record(rows[done], c[done], value[done], used[done], tail[at][done],
+                       status_on_stop)
+        if exact.any():
+            out.record(rows[exact], c[exact], value[exact], used[exact], 0.0,
+                       SeriesStatus.TERMINATING)
+        if capped.any():
+            before = np.where(rest[at], prev[at], 0.0)[capped]
+            tails = [_cap_tail(a, z) for a, z in zip(d[at][capped].tolist(), before.tolist())]
+            out.record(rows[capped], c[capped], value[capped], used[capped], tails,
+                       SeriesStatus.TRUNCATED_AT_CAP)
+        for i in np.flatnonzero(failed):
+            v = d[r[i], c[i], b[i]]
+            out.fail(int(rows[i]), c[i], _pole_error() if math.isnan(v)
+                     else _overflow_error(int(n[b[i]])) if not math.isfinite(v)
+                     or (peaks is not None and peaks[r[i], c[i], b[i]] > _OVERFLOW_GUARD)
+                     else _growth_error())
+            if c[i] == 0:
+                self.on[r[i]] = False
+
+        kept = self.on.any(axis=1)
+        for name in ("rows", "x", "y", "terms", "powers", "unit",
+                     "on", "in_reg", "total", "prev", "small", "grow"):
+            setattr(self, name, getattr(self, name)[kept])
+
+
+@lru_cache(maxsize=64)
+def _falling_weights(orders: tuple, size: int):
     """(left, rev) for weighing term r of diagonal n <= size by
     r(r-1)...(r-i+1) * (n-r)(n-r-1)...(n-r-j+1) for each order (i, j):
     left[k, r] is the first factor and rev[k, size - n + r] the second,
-    zero for r > n."""
+    zero for r > n.  Memoised read-only: a residual asks for the same orders
+    at every point."""
     m = np.arange(size + 1, dtype=float)
     fall = np.ones((1 + max(max(o) for o in orders), size + 1))
     for k in range(1, fall.shape[0]):
         fall[k] = fall[k - 1] * (m - (k - 1))
     rev = np.zeros((len(orders), 2 * size + 1))
     rev[:, :size + 1] = fall[[j for _, j in orders], ::-1]
-    return fall[[i for i, _ in orders]], rev
+    left = fall[[i for i, _ in orders]]
+    left.flags.writeable = rev.flags.writeable = False
+    return left, rev
+
+
+def _block_sums(block, left, rev, size: int, n0: int, powers, unit):
+    """(sums, peaks) of a block of diagonals n0, n0 + 1, ... at each point p
+    and order k: sums[p, k, b] is the weighted sum of diagonal n0 + b over
+    powers[p, k] (coefficient times the shifted series' diagonal sum), and
+    peaks[p, k, b] its largest shifted term, or peaks is None where no such
+    term can pass the overflow guard.  unit[p, k] is a shifted term over its
+    weighted term.  Order 0 is (0, 0), summed left to right as in kdf_eval."""
+    nb, width = block.shape[1:]
+    step = rev.strides[1]
+    right = np.lib.stride_tricks.as_strided(
+        rev[:, size - n0:], (len(rev), nb, width), (rev.strides[0], -step, step))
+    # as plain sums over each diagonal, an order's sums at a point do not
+    # depend on which other orders or points the block holds
+    big = float(np.abs(block).max())
+    sums, peaks = np.empty((len(block), len(rev), nb)), None
+    if math.isfinite(big):  # order 0 is summed below
+        sums[:, 1:] = np.einsum("kr,kbr,pbr->pkb", left[1:, :width], right[1:], block)
+    # the largest terms are needed only where a bound on them (largest term
+    # times largest weight) passes the guard
+    if not big * (left[:, width - 1] * rev[:, size - width + 1] / unit).max() <= _OVERFLOW_GUARD:
+        # a zero weight drops its term from the shifted series
+        weights = left[:, None, :width] * right
+        weighted = np.where(weights != 0.0, weights * block[:, None], 0.0)
+        if not math.isfinite(big):
+            sums = weighted.sum(axis=3)
+        peaks = np.abs(weighted).max(axis=3) / unit[:, :, None]
+    sums[:, 1:] /= powers[:, 1:, None]
+    sums[:, 0] = np.cumsum(block, axis=2)[:, :, -1]
+    return sums, peaks
+
+
+def _power(a: float, e: int) -> float:
+    try:
+        return a ** e
+    except OverflowError:
+        return math.inf
+
+
+def _sweep(shape: KdFShape, x, y, orders, policy: TruncationPolicy) -> _Outcome:
+    """Each (dx, dy) partial in `orders`, (0, 0) first, at every point
+    (x[p], y[p]) from one diagonal sweep of `shape`, as the columns of the
+    outcome; a point that fails has no results.  See `kdf_eval_points`;
+    numpy's floating-point warnings are expected to be off."""
+    m, n_ord = x.size, len(orders)
+    out = _Outcome(m, n_ord)
+    report, finite_all, _, status_on_stop = _sweep_setup(shape, policy)
+    in_reg = np.zeros(m, dtype=bool) | _effectively_in_region(shape, report, (x, y))
+
+    # the pairs the sweep sums; the shift identity answers the rest
+    points = list(zip(x.tolist(), y.tolist()))
+    try:
+        powers = [[a ** i * b ** j for i, j in orders] for a, b in points]
+    except OverflowError:  # inf for a power beyond double range
+        powers = [[_power(a, i) * _power(b, j) for i, j in orders] for a, b in points]
+    powers = np.array(powers).reshape(m, n_ord)
+    out.fallback = ~((1.0 / _JET_RANGE <= np.abs(powers)) & (np.abs(powers) <= _JET_RANGE))
+    tx, ty, tj = report.terminates_x, report.terminates_y, report.terminates_joint
+    jets = []
+    for k, ((i, j), coeff) in enumerate(zip(orders, _jet_coefficients(shape, tuple(orders)))):
+        if (coeff is None or coeff == 0.0 or not math.isfinite(coeff)
+                or (tx is not None and i > tx) or (ty is not None and j > ty)
+                or (tj is not None and i + j > tj)):
+            out.fallback[:, k] = True
+            coeff = 1.0
+        jets.append(_JetOrder((i, j), coeff, finite_all, policy.max_diagonal))
+    powers[out.fallback] = 1.0
+    # a term of an order's shifted series is its weighted term over this
+    unit = np.abs(powers) * [o.coeff for o in jets]
+
+    rule = (policy.rel_tol, policy.consecutive_small, status_on_stop)
+    side = (_OnePoint if m == 1 else _Points)(jets, x, y, ~out.fallback, in_reg, rule, out,
+                                              powers, unit)
+    joint = xs = ys = ()
+    size = n0 = 0
+    while side.points:
+        nb = min(_JET_BLOCK, side.last() + 1 - n0,
+                 max(1, _BLOCK_TERMS // (side.points * (n0 + _JET_BLOCK))))
+        width = n0 + nb
+        if width - 1 > len(ys):
+            joint, xs, ys = _ratios_covering(shape, width - 1)
+        block = np.zeros((side.points, nb, width))
+        side.diagonals(block, joint, xs, ys, n0)
+        if size < width:
+            size = 2 * width
+            # the memo keeps the small tables of short sweeps only
+            weights = _falling_weights if size <= 1024 else _falling_weights.__wrapped__
+            left, rev = weights(tuple(orders), size)
+        side.advance(*_block_sums(block, left, rev, size, n0, side.powers, side.unit), n0)
+        n0 = width
+
+    # one sweep of each order's shifted series over the points it falls back at
+    for k in np.flatnonzero(out.fallback.any(axis=0)).tolist():
+        idx = [p for p in np.flatnonzero(out.fallback[:, k]).tolist() if p not in out.errors]
+        if not idx:
+            continue
+        try:
+            coeff, shifted = kdf_derivative_shape(shape, *orders[k])
+            sub = _sweep(shifted, x[idx], y[idx], [(0, 0)], policy)
+        except PoleError as exc:
+            out.errors.update(dict.fromkeys(idx, exc))
+            continue
+        out.record(idx, k, coeff * sub.values[:, 0], sub.used[:, 0],
+                   abs(coeff) * sub.tails[:, 0], sub.statuses[:, 0])
+        out.errors.update({idx[j]: exc for j, exc in sub.errors.items()})
+    return out
+
+
+def _checked_sweep(shape: KdFShape, xs, ys, orders, policy: TruncationPolicy | None):
+    """`_sweep` of validated points and orders, and the column of each
+    requested order; raises the error of the lowest failing point."""
+    if policy is None:
+        policy = DEFAULT_POLICY
+    x = np.array(xs, dtype=float).ravel()
+    y = np.array(ys, dtype=float).ravel()
+    if x.shape != y.shape:
+        raise ValueError(f"{x.size} x-coordinates but {y.size} y-coordinates")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DomainError("point coordinates are not all finite")
+    req = [(int(dx), int(dy)) for dx, dy in orders]
+    if any(dx < 0 or dy < 0 for dx, dy in req):
+        raise ValueError("derivative orders must be >= 0")
+    distinct = list(dict.fromkeys([(0, 0)] + req))
+    with np.errstate(all="ignore"):  # the sweep tests for non-finite values itself
+        out = _sweep(shape, x, y, distinct, policy)
+    if out.errors:
+        raise out.errors[min(out.errors)]
+    return out, [distinct.index(o) for o in req]
+
+
+def kdf_eval_points(shape: KdFShape, xs, ys, policy: TruncationPolicy | None = None,
+                    orders=None):
+    """Sum one shape at every point (xs[i], ys[i]) in one diagonal sweep: F
+    as one PointsResult, or with `orders` one PointsResult per requested
+    partial d^(dx+dy) F / dx^dx dy^dy.  Entry i belongs to point i.
+
+    Order (0, 0) is `kdf_eval` point for point, to the bit: the same term
+    recursion, each diagonal summed left to right, the same stopping rule,
+    tail and status.  Partial (i, j) sums t_rs * r(r-1)...(r-i+1) *
+    s(s-1)...(s-j+1) / (x^i y^j) over the same terms, one numpy product per
+    block of diagonals for all orders and points, and runs the stopping
+    rule from diagonal i + j on, where the shift identity
+    (`kdf_eval_derivative`) starts its shifted series: it reports that
+    identity's diagonals, tail and status, and its value to rounding.  The
+    point count alone decides how terms and rule run: at one point
+    `kdf_eval`'s loop makes the terms and each order tests its sums in turn;
+    over many, numpy makes each diagonal for all points and the rule tests
+    all (point, order) pairs of a block at once.
+
+    The shift identity answers, in one sweep of the shifted series over the
+    points concerned, where an order's weighted terms leave double range
+    before the shifted series' own terms do or grow, where x^i y^j lies
+    outside [2^-900, 2^900], where the shift coefficient is zero, not finite
+    or undefined, and past the order at which a direction terminates.
+
+    A point fails where order (0, 0) fails, with what `kdf_eval` raises
+    there (PoleError, or DivergenceError for terms beyond double range or 20
+    growing diagonals outside the convergence region), else where the shift
+    identity raises; the call raises the error of the lowest failing index.
+    A non-finite coordinate raises DomainError.
+    """
+    out, cols = _checked_sweep(shape, xs, ys, [(0, 0)] if orders is None else orders, policy)
+    results = [PointsResult(out.values[:, k], out.used[:, k], out.tails[:, k],
+                            tuple(out.statuses[:, k])) for k in cols]
+    return results[0] if orders is None else results
 
 
 def kdf_eval_jet(shape: KdFShape, point, orders,
                  policy: TruncationPolicy | None = None) -> list[SeriesResult]:
     """Every partial d^(dx+dy) F / dx^dx dy^dy in `orders` at one point, from
-    one diagonal sweep of `shape`; one SeriesResult per requested (dx, dy).
-
-    Partial (i, j) sums t_rs * r(r-1)...(r-i+1) * s(s-1)...(s-j+1) / (x^i y^j)
-    over the terms t_rs, which come from `kdf_eval`'s diagonal recursion.
-    For each block of diagonals one numpy product forms these weighted
-    diagonal sums for all orders at once.  Each order then runs `kdf_eval`'s
-    stopping rule and checks diagonal by diagonal from diagonal i + j on,
-    where the shift identity (`kdf_eval_derivative`) starts its shifted
-    series, so it reports that identity's diagonal count (the sweep's less
-    i + j), tail and status, and its value agrees with it to rounding.  The
-    sweep ends when the last order stops.
-
-    The order (0, 0) always runs and sums each diagonal left to right, so
-    it returns what `kdf_eval` returns, to the bit, and where it fails the
-    jet raises what `kdf_eval` at the point raises: PoleError, or
-    DivergenceError for terms beyond double range or for 20 growing
-    diagonals outside the convergence region.  A non-finite point raises
-    DomainError.  Other orders go through `kdf_eval_derivative` after the
-    sweep, which raises or answers as the shift identity does, where
-    - the sweep fails for them (their weighted terms leave double range
-      before the shifted series' own terms do, or they grow);
-    - their weights need x^i y^j outside [2^-900, 2^900] (a zero or tiny
-      coordinate);
-    - their shift coefficient is zero, not finite or undefined; or
-    - they differentiate past the order at which a direction terminates (an
-      upper parameter within 1e-12 of a nonpositive integer but not equal
-      to it shifts to a series that does not terminate).
-    """
-    if policy is None:
-        policy = DEFAULT_POLICY
-    req = [(int(dx), int(dy)) for dx, dy in orders]
-    if any(dx < 0 or dy < 0 for dx, dy in req):
-        raise ValueError("derivative orders must be >= 0")
-    if req and set(req) == {(0, 0)}:
-        return [kdf_eval(shape, point, policy)] * len(req)
-    report, finite_all, _, status_on_stop = _sweep_setup(shape, policy)
-    x, y = float(point[0]), float(point[1])
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"point ({x}, {y}) is not finite")
-    rule = (policy.rel_tol, policy.consecutive_small,
-            _effectively_in_region(shape, report, (x, y)), status_on_stop)
-
-    distinct = list(dict.fromkeys([(0, 0)] + req))
-    swept: list[_JetOrder] = []
-    fallback = []
-    tx, ty, tj = report.terminates_x, report.terminates_y, report.terminates_joint
-    for (i, j), coeff in zip(distinct, _jet_coefficients(shape, tuple(distinct))):
-        try:
-            weight_scale = abs(x) ** i * abs(y) ** j
-        except OverflowError:
-            weight_scale = math.inf
-        if (coeff is None or coeff == 0.0 or not math.isfinite(coeff)
-                or not 1.0 / _JET_RANGE <= weight_scale <= _JET_RANGE
-                or (tx is not None and i > tx) or (ty is not None and j > ty)
-                or (tj is not None and i + j > tj)):
-            fallback.append((i, j))
-        else:
-            swept.append(_JetOrder((i, j), coeff, finite_all, policy.max_diagonal))
-    powers = np.array([x ** o.order[0] * y ** o.order[1] for o in swept])
-    # a term of an order's shifted series is its weighted term over this
-    shifted_unit = np.abs(powers) * [o.coeff for o in swept]
-    results: dict = {}
-    live = list(range(len(swept)))  # swept[0] is the order (0, 0)
-    joint = xs = ys = ()
-    terms: list[float] = []
-    size = 0
-    n0 = 0
-    while live:
-        nb = min(_JET_BLOCK, max(swept[k].last for k in live) + 1 - n0)
-        width = n0 + nb
-        block = np.zeros((nb, width))
-        if width - 1 > len(ys):
-            joint, xs, ys = _ratios_covering(shape, width - 1)
-        for b in range(nb):
-            terms = _next_diagonal(joint, xs, ys, terms, n0 + b, x, y) if n0 + b else [1.0]
-            block[b, :n0 + b + 1] = terms
-        if size < width:
-            size = 2 * width
-            left, rev = _falling_weights([o.order for o in swept], size)
-        step = rev.strides[1]
-        right = np.lib.stride_tricks.as_strided(
-            rev[:, size - n0:], (len(swept), nb, width), (rev.strides[0], -step, step))
-        with np.errstate(all="ignore"):
-            # each order's weighted diagonal sums; as plain sums over each
-            # diagonal they do not depend on which other orders are asked for
-            big = float(np.abs(block).max())
-            if math.isfinite(big):
-                sums = np.einsum("kr,kbr,br->kb", left[:, :width], right, block)
-            else:
-                # a zero weight drops its term from the shifted series
-                weights = left[:, None, :width] * right
-                sums = np.where(weights != 0.0, weights * block, 0.0).sum(axis=2)
-            sums = (sums / powers[:, None]).tolist()
-            # the order (0, 0) sums each diagonal left to right, as kdf_eval does
-            sums[0] = np.cumsum(block, axis=1)[:, -1].tolist()
-            # each order's largest shifted-series term on each diagonal, needed
-            # only where a bound on it (largest term times largest weight)
-            # passes the overflow guard
-            peaks = [None] * len(swept)
-            if not big * (left[:, width - 1] * rev[:, size - width + 1]
-                          / shifted_unit).max() <= _OVERFLOW_GUARD:
-                weights = left[:, None, :width] * right
-                weighted = np.where(weights != 0.0, weights * block, 0.0)
-                peaks = (np.abs(weighted).max(axis=2) / shifted_unit[:, None]).tolist()
-
-        still = []
-        for k in live:
-            event = swept[k].advance(sums[k], peaks[k], n0, rule)
-            if event is None:
-                still.append(k)
-            elif isinstance(event, SeriesResult):
-                results[swept[k].order] = event
-            elif k == 0:  # the order (0, 0) fails where kdf_eval fails
-                raise event
-            else:
-                # the shifted series' own terms decide whether this order fails
-                fallback.append(swept[k].order)
-        live = still
-        n0 = width
-
-    for dx, dy in fallback:
-        results[(dx, dy)] = kdf_eval_derivative(shape, (x, y), dx, dy, policy)
-    return [results[o] for o in req]
+    one diagonal sweep of `shape`: `kdf_eval_points` at that point, with
+    one SeriesResult per requested (dx, dy)."""
+    orders = [(int(dx), int(dy)) for dx, dy in orders]
+    if orders and set(orders) == {(0, 0)}:  # F alone: the scalar loop
+        return [kdf_eval(shape, point, policy)] * len(orders)
+    out, cols = _checked_sweep(shape, [point[0]], [point[1]], orders, policy)
+    values, used, tails = (a[0].tolist() for a in (out.values, out.used, out.tails))
+    return [SeriesResult(values[k], used[k], tails[k], out.statuses[0, k]) for k in cols]

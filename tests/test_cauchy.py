@@ -250,5 +250,11 @@ def test_solve_point_series_calls(monkeypatch):
     monkeypatch.setattr(cauchy, "kdf_eval_points", counted("points", cauchy.kdf_eval_points))
     monkeypatch.setattr(series, "kdf_eval", counted("scalar", series.kdf_eval))
     solve_point(MIXED_64, (0.3, 0.55), 64)
-    # F, dF/dsigma, dF/drho over the tau nodes and Xi2 over the nu nodes
-    assert calls == {"points": 4, "scalar": 0}
+    # F and both partials over the tau nodes in one sweep, Xi2 over the nu nodes
+    assert calls == {"points": 2, "scalar": 0}
+    # at lambda = 0, rho vanishes at every node, so dF/drho is one sweep of
+    # its shifted series over all nodes inside the same call
+    calls.update(points=0, scalar=0)
+    solve_point(CauchyProblem(alpha=-0.05, beta=-0.15, lam=0.0, tau_data=(1.0, 1.0, 0.0, 1.0),
+                              nu_data=(2.0, 0.0, -1.0)), (0.3, 0.55), 64)
+    assert calls == {"points": 2, "scalar": 0}

@@ -209,6 +209,25 @@ def test_math_error_exit_code(capsys, monkeypatch):
     assert json.loads(out)["error"] == "PoleError"
 
 
+def test_eval_pole_ends_the_job_and_divergence_stays_per_point(capsys, monkeypatch):
+    # (-1)_r in the x-denominator vanishes at r = 2 for every point
+    job = {"command": "eval", "shape": {"upper_x": [1], "lower_x": [-1]},
+           "points": [[0.1, 0.1]]}
+    code, out = run_cli(capsys, monkeypatch, job)
+    assert code == 1
+    assert json.loads(out) == {"error": "PoleError",
+                               "message": "undefined: denominator pole in x-group at r = 2"}
+    # outside the unit x-radius the diagonals grow: a row of its own
+    job = {"command": "eval", "function": "F0211",
+           "params": {"b": 0.8, "c": 0.5, "d": 0.9, "e": 1.3, "g": 1.1},
+           "points": [[0.3, 0.4], [1.4, 0.2]]}
+    code, out = run_cli(capsys, monkeypatch, job)
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert rows[0]["status"] == "converged"
+    assert rows[1]["status"] == "diverged" and "growing diagonals" in rows[1]["error"]
+
+
 def test_policy_flag_override(capsys, monkeypatch):
     job = {"command": "eval", "function": "F0211",
            "params": {"b": 0.5, "c": 0.5, "d": 0.5, "e": 1.5, "g": 1.5},

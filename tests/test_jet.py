@@ -1,4 +1,5 @@
-"""kdf_eval_jet against the shift identity kdf_eval_derivative, order by order."""
+"""kdf_eval_jet against the shift identity kdf_eval_derivative, order by order,
+and kdf_eval_points over many points against kdf_eval_jet at each."""
 
 import math
 
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from kampe import (KampeError, KdFShape, ParamsF0211, ParamsF1211, ParamsXi2,
                    SeriesStatus, TruncationPolicy, expanded_system_f1211,
                    kdf_derivative_shape, kdf_eval, kdf_eval_derivative,
-                   kdf_eval_jet, residual, shape_f0211, shape_f1211, shape_xi2,
-                   solution_evaluator, solution_pair_f1211)
+                   kdf_eval_jet, kdf_eval_points, residual, shape_f0211,
+                   shape_f1211, shape_xi2, solution_evaluator,
+                   solution_pair_f1211)
 
 F0211 = shape_f0211(ParamsF0211(0.7, 1.1, 0.9, 1.4, 1.6))
 XI2 = shape_xi2(ParamsXi2(0.7, 1.1, 1.4))
@@ -106,6 +108,47 @@ def test_jet_matches_shift_identity_on_drawn_shapes(shape, point, orders, max_di
     assert_jet_matches_shift(shape, point, orders, TruncationPolicy(max_diagonal=max_diagonal))
 
 
+def assert_points_match_jets(shape, points, orders, policy=None):
+    """kdf_eval_points over all points against kdf_eval_jet at each: the
+    jet's diagonals and status per order; for (0, 0), kdf_eval's value and
+    tail to the bit; other orders the jet's value within the bound of
+    assert_jet_matches_shift; where points fail, the error type of the
+    lowest failing index."""
+    batch = _outcome(lambda: kdf_eval_points(shape, [p[0] for p in points],
+                                             [p[1] for p in points], policy, orders))
+    jets = [_outcome(lambda p=p: kdf_eval_jet(shape, p, orders, policy)) for p in points]
+    failed = [jet for jet in jets if isinstance(jet, Exception)]
+    if failed:
+        assert type(batch) is type(failed[0]), (batch, jets)
+        return
+    assert not isinstance(batch, Exception), batch
+    assert len(batch) == len(orders)
+    for i, (point, jet) in enumerate(zip(points, jets)):
+        for order, res, want in zip(orders, batch, jet):
+            got = res[i]
+            assert got.diagonals_used == want.diagonals_used, (point, order)
+            assert got.status is want.status, (point, order)
+            if order == (0, 0):
+                base = kdf_eval(shape, point, policy)
+                assert got.value.hex() == base.value.hex()
+                assert got.tail_estimate.hex() == base.tail_estimate.hex()
+            elif abs(got.value - want.value) > 1e-12 * abs(want.value):
+                coeff, shifted = kdf_derivative_shape(shape, *order)
+                spread = abs(coeff) * _abs_sum(shifted, point, want.diagonals_used)
+                assert abs(got.value - want.value) <= 1e-12 * max(abs(want.value), spread)
+
+
+@given(_shapes(), st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=6),
+       _orders, st.booleans(), st.integers(0, 300))
+@settings(max_examples=100, deadline=None)
+def test_points_match_jets_on_drawn_shapes(shape, points, orders, on_x_axis, max_diagonal):
+    # y = 0 at every point sends each order (i, j > 0) to one batched
+    # fallback sweep; tiny coordinates send some points' orders there
+    if on_x_axis:
+        points = [(x, 0.0) for x, _ in points]
+    assert_points_match_jets(shape, points, orders, TruncationPolicy(max_diagonal=max_diagonal))
+
+
 def test_jet_matches_shift_identity_on_named_shapes():
     points = [(0.2, 0.3), (-0.45, 0.1), (0.3, -0.8), (0.6, 4.0), (-0.9, -2.5)]
     for shape in (F0211, XI2, F1211):
@@ -180,6 +223,22 @@ def test_jet_results_do_not_depend_on_block_size(monkeypatch):
     for block in (1, 5, 40):
         monkeypatch.setattr(series, "_JET_BLOCK", block)
         assert [kdf_eval_jet(F1211, point, ORDERS) for point in points] == want
+
+
+def test_points_results_do_not_depend_on_block_size(monkeypatch):
+    from kampe import series
+    points = [(0.2, 0.3), (-0.9, 2.5), (0.5, -4.0), (0.0, 0.4), (1e-200, 0.1)]
+
+    def bits():
+        res = kdf_eval_points(F1211, [p[0] for p in points], [p[1] for p in points],
+                              None, ORDERS)
+        return [(r.values.tobytes(), r.diagonals_used.tolist(), r.tail_estimates.tobytes(),
+                 r.statuses) for r in res]
+
+    want = bits()
+    for block in (1, 5, 40):
+        monkeypatch.setattr(series, "_JET_BLOCK", block)
+        assert bits() == want
 
 
 def test_residual_point_is_one_jet(monkeypatch):
