@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import math
 
-from .errors import PoleError
+from .errors import DomainError, PoleError
 
 _INT_TOL = 1e-12
 
 
 def _as_nonpositive_int(x: float) -> int | None:
-    """Round x to a nonpositive integer if it is within tolerance, else None."""
+    """Round x to a nonpositive integer if it is within tolerance, else None
+    (also for a non-finite x)."""
+    if not math.isfinite(x):
+        return None
     r = round(x)
     if r <= 0 and abs(x - r) < _INT_TOL:
         return int(r)
@@ -42,8 +45,11 @@ def _signed_loggamma(x: float) -> tuple[float, int]:
 def gamma_ratio(num: float, den: float) -> float:
     """Gamma(num) / Gamma(den) via log-gamma differences.
 
-    Raises PoleError when either argument is a nonpositive integer.
+    Raises PoleError when either argument is a nonpositive integer and
+    DomainError when either is not finite.
     """
+    if not (math.isfinite(num) and math.isfinite(den)):
+        raise DomainError(f"Gamma ratio of non-finite arguments ({num}, {den})")
     if is_nonpositive_int(num):
         raise PoleError(f"Gamma pole in numerator at {num}")
     if is_nonpositive_int(den):

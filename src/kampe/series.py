@@ -22,6 +22,7 @@ by weighting each term x^r y^s with the falling factorials of r and s.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -51,6 +52,8 @@ class KdFShape:
             vals = tuple(float(v) for v in getattr(self, name))
             if len(vals) > _MAX_GROUP:
                 raise ParameterError(f"{name} has {len(vals)} entries, limit is {_MAX_GROUP}")
+            if not all(map(math.isfinite, vals)):
+                raise DomainError(f"{name} has a non-finite entry: {vals}")
             object.__setattr__(self, name, vals)
 
     @property
@@ -67,6 +70,11 @@ class TruncationPolicy:
     consecutive_small: int = 3
 
     def __post_init__(self):
+        for name in ("max_diagonal", "consecutive_small"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ParameterError(f"{name} must be an integer, not {value!r}")
+            object.__setattr__(self, name, int(value))
         if not (0.0 < self.rel_tol < 1.0):
             raise ParameterError("rel_tol must lie in (0, 1)")
         if not (0 <= self.max_diagonal <= 20000):
@@ -146,33 +154,19 @@ class ConvergenceRegion:
     coupled: int | None = None
 
 
-def _min_termination(params) -> int | None:
-    """Largest surviving index for the group, None if no terminator."""
-    best = None
-    for a in params:
-        if is_nonpositive_int(a):
-            order = int(-round(a))  # (a)_n = 0 first at n = order + 1
-            best = order if best is None else min(best, order)
-    return best
-
-
-def _first_pole(params) -> int | None:
-    """Smallest index n at which some (a)_n in the group vanishes."""
-    best = None
-    for a in params:
-        if is_nonpositive_int(a):
-            n = int(-round(a)) + 1
-            best = n if best is None else min(best, n)
-    return best
+def _first_zero(params) -> int | None:
+    """Smallest index n at which some (a)_n in the group vanishes, None if
+    none does: a nonpositive integer a gives (a)_n = 0 first at n = 1 - a."""
+    return min((1 - round(a) for a in params if is_nonpositive_int(a)), default=None)
 
 
 def validate_shape(shape: KdFShape) -> ValidationReport:
-    tx = _min_termination(shape.upper_x)
-    ty = _min_termination(shape.upper_y)
-    tj = _min_termination(shape.upper_joint)
-    px = _first_pole(shape.lower_x)
-    py = _first_pole(shape.lower_y)
-    pj = _first_pole(shape.lower_joint)
+    # an upper group's terms survive up to the index before its first zero
+    tx, ty, tj = (None if n is None else n - 1 for n in
+                  map(_first_zero, (shape.upper_x, shape.upper_y, shape.upper_joint)))
+    px = _first_zero(shape.lower_x)
+    py = _first_zero(shape.lower_y)
+    pj = _first_zero(shape.lower_joint)
 
     inf = math.inf
     max_r = min(tx if tx is not None else inf, tj if tj is not None else inf)
@@ -294,9 +288,9 @@ def in_region(region: ConvergenceRegion, point) -> bool:
     return ok_x & ok_y
 
 
-def _effectively_in_region(shape: KdFShape, report: ValidationReport, point) -> bool:
+def _effectively_in_region(region: ConvergenceRegion, report: ValidationReport,
+                           point) -> bool:
     """Region membership with terminated directions exempted (arrays too)."""
-    region = classify_convergence(shape)
     x, y = point
     term_x = report.terminates_x is not None or report.terminates_joint is not None
     term_y = report.terminates_y is not None or report.terminates_joint is not None
@@ -313,10 +307,12 @@ _TINY = 1e-300
 _OVERFLOW_GUARD = 1e280
 
 
-def _sweep_setup(shape: KdFShape, policy: TruncationPolicy):
+@lru_cache(maxsize=512)
+def _sweep_setup(shape: KdFShape):
     """(validation report, last diagonal of a fully terminating shape or None,
-    diagonal cap, status of a sweep that meets the stopping rule) shared by
-    the sweeps; raises PoleError for undefined shapes."""
+    status of a sweep that meets the stopping rule, convergence region)
+    shared by the sweeps; raises PoleError for undefined shapes.  Memoised
+    per shape: like `_ratio_table`'s, its results are never changed."""
     report = validate_shape(shape)
     if report.undefined:
         raise PoleError("; ".join(report.messages))
@@ -325,9 +321,8 @@ def _sweep_setup(shape: KdFShape, policy: TruncationPolicy):
         finite_all = report.terminates_joint
     elif report.terminates_x is not None and report.terminates_y is not None:
         finite_all = report.terminates_x + report.terminates_y
-    n_cap = policy.max_diagonal if finite_all is None else min(finite_all, policy.max_diagonal)
     status_on_stop = SeriesStatus.TERMINATING if report.terminating else SeriesStatus.CONVERGED
-    return report, finite_all, n_cap, status_on_stop
+    return report, finite_all, status_on_stop, classify_convergence(shape)
 
 
 def _pole_error() -> PoleError:
@@ -371,75 +366,113 @@ def _next_diagonal(joint, xs, ys, terms: list[float], nd: int, x: float, y: floa
     return new_terms
 
 
+class _JetOrder:
+    """The plan of one order (i, j) of a sweep: its weighted diagonal sums
+    are coeff times the diagonal sums of its shifted series, from diagonal
+    start = i + j on and up to diagonal last; finite is the shifted series'
+    own last diagonal, None unless it terminates.  Order (0, 0) with coeff 1
+    is the shape's series itself."""
+
+    __slots__ = ("start", "last", "coeff", "finite")
+
+    def __init__(self, order, coeff: float, finite_all, max_diagonal: int):
+        self.start = order[0] + order[1]
+        # the shifted series terminates i + j diagonals before the shape's
+        self.finite = None if finite_all is None else finite_all - self.start
+        cap = max_diagonal if self.finite is None else min(self.finite, max_diagonal)
+        self.last = self.start + cap
+        self.coeff = abs(coeff)
+
+
+def _stop_rule(plan: _JetOrder, rel_tol: float, consecutive: int, in_reg: bool,
+               status_on_stop: SeriesStatus):
+    """The stopping rule and checks of one series at one point, as a primed
+    generator.  It is sent the (sum, largest term) of each diagonal of the
+    plan from its start on and answers None, or else the series' (value,
+    diagonals, tail, status), or else the error it fails with; once it
+    answers, it takes no more sums.
+
+    It stops once `consecutive` successive diagonal sums fall below rel_tol
+    relative to the running total and the extrapolated geometric tail does
+    too, else at the plan's last diagonal: exactly where the series
+    terminates there, truncated at the cap otherwise.  A NaN sum is a pole;
+    a sum or term beyond double range, or _GROW_LIMIT growing diagonals in a
+    row outside the convergence region, are a DivergenceError."""
+    total, _ = yield
+    prev, before = total, 0.0
+    small = grow = 0
+    floor = _TINY * plan.coeff
+    n = 0
+    while n < plan.last - plan.start:
+        d, peak = yield None
+        n += 1
+        if math.isnan(d):
+            yield _pole_error()
+        if not math.isfinite(d) or peak > _OVERFLOW_GUARD:
+            yield _overflow_error(n)
+        total += d
+        scale = max(abs(total), floor)
+        abs_d = abs(d)
+        small = small + 1 if abs_d <= rel_tol * scale else 0
+        if abs_d > abs(prev):
+            grow += 1
+            if grow >= _GROW_LIMIT and not in_reg:
+                yield _growth_error()
+        else:
+            grow = 0
+        if small >= consecutive and plan.finite is None:
+            rho = min(0.99, abs(d / prev)) if prev != 0.0 else 0.0
+            tail = abs_d * rho / (1.0 - rho)
+            if tail <= rel_tol * scale:
+                yield total, n, tail, status_on_stop
+        before, prev = prev, d
+    if plan.finite == n:
+        yield total, n, 0.0, SeriesStatus.TERMINATING
+    yield total, n, _cap_tail(prev, before), SeriesStatus.TRUNCATED_AT_CAP
+
+
 def kdf_eval(shape: KdFShape, point, policy: TruncationPolicy | None = None) -> SeriesResult:
     """Sum the double series by diagonals with a geometric tail estimate.
 
     Stops once ``consecutive_small`` successive diagonal sums fall below
     rel_tol relative to the running value and the extrapolated tail meets
-    the same bound.  Fully terminating shapes are summed exactly instead.
-    Raises PoleError for unprotected denominator poles, DomainError for a
-    non-finite coordinate and DivergenceError after 20 growing diagonals
-    outside the convergence region.  For many points of one shape,
-    `kdf_eval_points` gives the same results in one sweep.
+    the same bound (`_stop_rule`).  Fully terminating shapes are summed
+    exactly instead.  Raises PoleError for unprotected denominator poles,
+    DomainError for a non-finite coordinate and DivergenceError after 20
+    growing diagonals outside the convergence region.  For many points of
+    one shape, `kdf_eval_points` gives the same results in one sweep.
     """
     if policy is None:
         policy = DEFAULT_POLICY
-    report, finite_all, n_cap, status_on_stop = _sweep_setup(shape, policy)
+    report, finite_all, status_on_stop, region = _sweep_setup(shape)
     x, y = float(point[0]), float(point[1])
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError(f"point ({x}, {y}) is not finite")
 
-    in_reg = _effectively_in_region(shape, report, (x, y))
-    joint = xs = ys = ()
-
+    rule = _stop_rule(_JetOrder((0, 0), 1.0, finite_all, policy.max_diagonal),
+                      policy.rel_tol, policy.consecutive_small,
+                      _effectively_in_region(region, report, (x, y)), status_on_stop)
+    next(rule)
     terms = [1.0]
-    total = 1.0
-    prev_d = 1.0
-    before = 0.0
-    small = 0
-    grow = 0
-    n_used = 0
-
-    for nd in range(1, n_cap + 1):
+    event = rule.send((1.0, 1.0))
+    joint = xs = ys = ()
+    nd = 0
+    while event is None:
+        nd += 1
         if nd > len(ys):
             joint, xs, ys = _ratios_covering(shape, nd)
-        new_terms = _next_diagonal(joint, xs, ys, terms, nd, x, y)
+        terms = _next_diagonal(joint, xs, ys, terms, nd, x, y)
         d = 0.0
         peak = 0.0
-        for t in new_terms:
+        for t in terms:
             d += t
             a = abs(t)
             if a > peak:
                 peak = a
-        if math.isnan(d):
-            raise _pole_error()
-        if peak > _OVERFLOW_GUARD or not math.isfinite(d):
-            raise _overflow_error(nd)
-        total += d
-        n_used = nd
-        terms = new_terms
-
-        scale = max(abs(total), _TINY)
-        if abs(d) <= policy.rel_tol * scale:
-            small += 1
-        else:
-            small = 0
-        if abs(d) > abs(prev_d):
-            grow += 1
-            if grow >= _GROW_LIMIT and not in_reg:
-                raise _growth_error()
-        else:
-            grow = 0
-        if small >= policy.consecutive_small and finite_all is None:
-            rho = min(0.99, abs(d / prev_d)) if prev_d != 0.0 else 0.0
-            tail = abs(d) * rho / (1.0 - rho)
-            if tail <= policy.rel_tol * scale:
-                return SeriesResult(total, n_used, tail, status_on_stop)
-        before, prev_d = prev_d, d
-
-    if finite_all is not None and n_cap == finite_all:
-        return SeriesResult(total, n_used, 0.0, SeriesStatus.TERMINATING)
-    return SeriesResult(total, n_used, _cap_tail(prev_d, before), SeriesStatus.TRUNCATED_AT_CAP)
+        event = rule.send((d, peak))
+    if isinstance(event, Exception):
+        raise event
+    return SeriesResult(*event)
 
 
 def _shift_all(params, by: int = 1):
@@ -544,78 +577,17 @@ class _Outcome:
             self.fallback[p, k] = True
 
 
-class _JetOrder:
-    """One order (i, j) of a sweep at one point.  Its weighted diagonal sums
-    are coefficient times the diagonal sums of its shifted series, from
-    diagonal i + j on; `advance` runs `kdf_eval`'s stopping rule and checks
-    on them."""
-
-    __slots__ = ("start", "last", "coeff", "finite", "total", "prev", "before", "small", "grow")
-
-    def __init__(self, order, coeff: float, finite_all, max_diagonal: int):
-        self.start = order[0] + order[1]
-        # the shifted series terminates i + j diagonals before the shape's
-        self.finite = None if finite_all is None else finite_all - self.start
-        cap = max_diagonal if self.finite is None else min(self.finite, max_diagonal)
-        self.last = self.start + cap
-        self.coeff = abs(coeff)
-        self.total = self.prev = self.before = 0.0
-        self.small = self.grow = 0
-
-    def advance(self, sums, peaks, n0: int, rule):
-        """Test diagonals n0, n0 + 1, ... of the block (sums, and the largest
-        shifted terms or None) in turn.  Returns the order's (value,
-        diagonals, tail, status) or error once it ends there, else None."""
-        rel_tol, consecutive, in_reg, status_on_stop = rule
-        start, last, finite = self.start, self.last, self.finite
-        total, prev, before = self.total, self.prev, self.before
-        small, grow = self.small, self.grow
-        floor = _TINY * self.coeff
-        b = max(start - n0, 0)
-        stop = min(len(sums), last - n0 + 1)
-        if b < stop and n0 + b == start:
-            total = prev = sums[b]
-            b += 1
-        while b < stop:
-            d = sums[b]
-            if math.isnan(d):
-                return _pole_error()
-            if not math.isfinite(d) or (peaks and peaks[b] > _OVERFLOW_GUARD):
-                return _overflow_error(n0 + b - start)
-            total += d
-            scale = max(abs(total), floor)
-            abs_d = abs(d)
-            small = small + 1 if abs_d <= rel_tol * scale else 0
-            if abs_d > abs(prev):
-                grow += 1
-                if grow >= _GROW_LIMIT and not in_reg:
-                    return _growth_error()
-            else:
-                grow = 0
-            if small >= consecutive and finite is None:
-                rho = min(0.99, abs(d / prev)) if prev != 0.0 else 0.0
-                tail = abs_d * rho / (1.0 - rho)
-                if tail <= rel_tol * scale:
-                    return total, n0 + b - start, tail, status_on_stop
-            before, prev = prev, d
-            b += 1
-        if b == last - n0 + 1:  # summed every diagonal up to the cap
-            if finite is not None and last - start == finite:
-                return total, last - start, 0.0, SeriesStatus.TERMINATING
-            return total, last - start, _cap_tail(prev, before), SeriesStatus.TRUNCATED_AT_CAP
-        self.total, self.prev, self.before = total, prev, before
-        self.small, self.grow = small, grow
-        return None
-
-
 class _OnePoint:
     """The sweep's two point-count dependent steps at one point: `kdf_eval`'s
-    loop makes the terms, and each order's `_JetOrder.advance` tests its
-    block of sums in turn."""
+    loop makes the terms, and each order's `_stop_rule` is sent its block of
+    sums in turn."""
 
     def __init__(self, jets, x, y, swept, in_reg, rule, out: _Outcome, powers, unit):
         rel_tol, consecutive, status_on_stop = rule
-        self.rule = (rel_tol, consecutive, bool(in_reg[0]), status_on_stop)
+        self.rules = [_stop_rule(plan, rel_tol, consecutive, bool(in_reg[0]), status_on_stop)
+                      for plan in jets]
+        for r in self.rules:
+            next(r)
         self.jets, self.out = jets, out
         self.x, self.y = float(x[0]), float(y[0])
         self.live = np.flatnonzero(swept[0]).tolist()  # the orders still summing
@@ -639,10 +611,15 @@ class _OnePoint:
     def advance(self, sums, peaks, n0: int) -> None:
         """Test the block's diagonals n0, n0 + 1, ... order by order."""
         sums = sums[0].tolist()
-        peaks = [None] * len(sums) if peaks is None else peaks[0].tolist()
+        peaks = [[0.0] * len(sums[0])] * len(sums) if peaks is None else peaks[0].tolist()
         still = []
         for k in self.live:
-            event = self.jets[k].advance(sums[k], peaks[k], n0, self.rule)
+            plan, rule, event = self.jets[k], self.rules[k], None
+            at = slice(max(plan.start - n0, 0), plan.last - n0 + 1)
+            for diagonal in zip(sums[k][at], peaks[k][at]):
+                event = rule.send(diagonal)
+                if event is not None:
+                    break
             if event is None:
                 still.append(k)
             elif isinstance(event, tuple):
@@ -655,7 +632,7 @@ class _OnePoint:
 class _Points:
     """The sweep's two point-count dependent steps over many points: numpy
     makes each diagonal for all points still summing, and the stopping rule
-    runs as array operations over (point, order, diagonal), `_JetOrder.advance`
+    runs as array operations over (point, order, diagonal), `_stop_rule`
     for every pair of a block at once.  A pair ends at its first diagonal
     that fails, stops or reaches its cap; a point leaves once all its pairs
     end.  Row i belongs to point rows[i]."""
@@ -850,8 +827,8 @@ def _sweep(shape: KdFShape, x, y, orders, policy: TruncationPolicy) -> _Outcome:
     numpy's floating-point warnings are expected to be off."""
     m, n_ord = x.size, len(orders)
     out = _Outcome(m, n_ord)
-    report, finite_all, _, status_on_stop = _sweep_setup(shape, policy)
-    in_reg = np.zeros(m, dtype=bool) | _effectively_in_region(shape, report, (x, y))
+    report, finite_all, status_on_stop, region = _sweep_setup(shape)
+    in_reg = np.zeros(m, dtype=bool) | _effectively_in_region(region, report, (x, y))
 
     # the pairs the sweep sums; the shift identity answers the rest
     points = list(zip(x.tolist(), y.tolist()))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kampe import KdFShape, PoleError, gamma_ratio, kdf_eval_derivative
+from kampe import DomainError, KdFShape, PoleError, gamma_ratio, kdf_eval_derivative
 from oracles import poch_direct
 
 # 50-digit reference, Gamma(1.7)/Gamma(0.9)
@@ -64,6 +64,12 @@ def test_gamma_ratio_poles():
         gamma_ratio(0.0, 1.0)
     with pytest.raises(PoleError):
         gamma_ratio(1.0, -3.0)
+
+
+def test_gamma_ratio_non_finite_arguments():
+    for num, den in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)):
+        with pytest.raises(DomainError):
+            gamma_ratio(num, den)
 
 
 @given(st.floats(-5.0, 5.0).filter(lambda a: abs(a - round(a)) > 1e-6),

@@ -112,6 +112,12 @@ def test_eval_solution_domain_error():
         solution_derivative(u2, (0.1, 0.0), 0, 1)
 
 
+def test_non_finite_parameters_are_domain_errors():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            solution_pair_f0211(ParamsF0211(0.8, 0.5, 0.9, 1.3, bad))
+
+
 def test_residuals_f1211_both_solutions():
     system = expanded_system_f1211(PF)
     for sol in solution_pair_f1211(PF):

@@ -4,7 +4,7 @@ and kdf_eval_points over many points against kdf_eval_jet at each."""
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kampe import (KampeError, KdFShape, ParamsF0211, ParamsF1211, ParamsXi2,
@@ -27,39 +27,65 @@ def _outcome(call):
         return exc
 
 
-def _abs_sum(shape, point, diagonals: int) -> float:
-    """Sum of |term| over the first `diagonals` + 1 diagonals, each term from
-    prefix sums of log|a + k| for its Pochhammer factors."""
+def _diagonals(shape, point, diagonals: int) -> list[tuple[float, float]]:
+    """(sum of terms, sum of |term|) of each of the first `diagonals` + 1
+    diagonals, each term from prefix sums of log|a + k| for its Pochhammer
+    factors, with the signs of those factors and of x^r y^s."""
     x, y = point
     n = diagonals + 1
 
     def log_poch(params):
-        out = [0.0] * (n + 1)
+        logs, signs = [0.0] * (n + 1), [1.0] * (n + 1)
         for k in range(n):
             step = sum(math.log(abs(a + k)) if a + k != 0.0 else -math.inf for a in params)
-            out[k + 1] = out[k] + step
-        return out
+            logs[k + 1] = logs[k] + step
+            signs[k + 1] = signs[k] * math.prod(-1.0 if a + k < 0.0 else 1.0 for a in params)
+        return logs, signs
 
     uj, ux, uy = (log_poch(g) for g in (shape.upper_joint, shape.upper_x, shape.upper_y))
     lj, lx, ly = (log_poch(g) for g in (shape.lower_joint, shape.lower_x, shape.lower_y))
     log_x = math.log(abs(x)) if x else -math.inf
     log_y = math.log(abs(y)) if y else -math.inf
-    total = 0.0
+    out = []
     for d in range(n):
+        terms = []
         for r in range(d + 1):
             s = d - r
-            num = uj[d] + ux[r] + uy[s] + (r * log_x if r else 0.0) + (s * log_y if s else 0.0)
+            num = (uj[0][d] + ux[0][r] + uy[0][s] + (r * log_x if r else 0.0)
+                   + (s * log_y if s else 0.0))
             if num > -math.inf:
-                total += math.exp(num - lj[d] - lx[r] - ly[s]
-                                  - math.lgamma(r + 1) - math.lgamma(s + 1))
-    return total
+                sign = (uj[1][d] * ux[1][r] * uy[1][s] * lj[1][d] * lx[1][r] * ly[1][s]
+                        * (-1.0 if x < 0.0 and r % 2 else 1.0)
+                        * (-1.0 if y < 0.0 and s % 2 else 1.0))
+                terms.append(sign * math.exp(num - lj[0][d] - lx[0][r] - ly[0][s]
+                                             - math.lgamma(r + 1) - math.lgamma(s + 1)))
+        out.append((math.fsum(terms), sum(abs(t) for t in terms)))
+    return out
+
+
+def _abs_sum(shape, point, diagonals: int) -> float:
+    """Sum of |term| over the first `diagonals` + 1 diagonals."""
+    return sum(a for _, a in _diagonals(shape, point, diagonals))
+
+
+def _cancels(shape, point, diagonals: int) -> bool:
+    """Whether some diagonal sum d_n among the first `diagonals` + 1 cancels
+    to rounding: |d_n| <= 4 (n + 1) u sum|t_n| with sum|t_n| > 0, u = 2^-53."""
+    return any(0.0 < a and abs(d) <= 4 * (n + 1) * 2.0 ** -53 * a
+               for n, (d, a) in enumerate(_diagonals(shape, point, diagonals)))
 
 
 def assert_jet_matches_shift(shape, point, orders, policy=None):
     """Per order: the shift identity's diagonals and status, and its value
     within 1e-12 * max(1, kappa), kappa = sum|terms| / |sum| of the shifted
     series; for (0, 0), kdf_eval's value and tail to the bit; where kdf_eval
-    at the point raises, an error of the same type."""
+    at the point raises, an error of the same type.
+
+    The jet's weighted sums and the shifted series' own sums round apart,
+    so where a diagonal sum of the shifted series cancels to rounding
+    (`_cancels`), their stopping decisions may differ: there the diagonals
+    and status may too, and kappa is taken over the diagonals that either
+    summed."""
     jet = _outcome(lambda: kdf_eval_jet(shape, point, orders, policy))
     base = _outcome(lambda: kdf_eval(shape, point, policy))
     if isinstance(base, Exception):
@@ -77,13 +103,14 @@ def assert_jet_matches_shift(shape, point, orders, policy=None):
             assert got.value.hex() == base.value.hex()
             assert got.tail_estimate.hex() == base.tail_estimate.hex()
     for order, got, want in zip(orders, jet, refs):
-        assert got.diagonals_used == want.diagonals_used, order
-        assert got.status is want.status, order
         coeff, shifted = kdf_derivative_shape(shape, *order)
+        summed = max(got.diagonals_used, want.diagonals_used)
+        if (got.diagonals_used, got.status) != (want.diagonals_used, want.status):
+            assert _cancels(shifted, point, summed), (order, got, want)
         if abs(got.value - want.value) <= 1e-12 * abs(want.value):
             continue
         # the bound 1e-12 * max(1, kappa) * |value| without dividing by it
-        spread = abs(coeff) * _abs_sum(shifted, point, want.diagonals_used)
+        spread = abs(coeff) * _abs_sum(shifted, point, summed)
         assert abs(got.value - want.value) <= 1e-12 * max(abs(want.value), spread), order
 
 
@@ -103,6 +130,10 @@ def _shapes(draw):
 
 @given(_shapes(), st.tuples(_coordinate, _coordinate), _orders,
        st.integers(0, 300))
+# F = exp(x + y): the shift identity's diagonal sums (x + y)^n / n! are 0 at
+# (10, -10) and it stops converged after 3 diagonals, the jet's sum to ~1e-14
+@example(KdFShape(), (10.0, -10.0), [(0, 1)], 3)
+@example(KdFShape(), (10.0, -10.0), [(0, 1)], 300)
 @settings(max_examples=150, deadline=None)
 def test_jet_matches_shift_identity_on_drawn_shapes(shape, point, orders, max_diagonal):
     assert_jet_matches_shift(shape, point, orders, TruncationPolicy(max_diagonal=max_diagonal))

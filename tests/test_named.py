@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kampe import (ParamsF0211, ParamsF1211, ParamsXi2, ShapeError, kdf_eval,
+from kampe import (DomainError, ParamsF0211, ParamsF1211, ParamsXi2, ShapeError, kdf_eval,
                    kdf_eval_derivative, shape_f0211, shape_f1211, shape_xi2)
 from oracles import hyp1d
 
@@ -36,6 +36,14 @@ def test_invalid_lower_parameters():
         shape_f0211(ParamsF0211(1, 1, 1, 2, 0.0))
     with pytest.raises(ShapeError):
         shape_xi2(ParamsXi2(1, 1, -1.0))
+
+
+def test_non_finite_parameters_are_domain_errors():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            shape_f0211(ParamsF0211(bad, 0.5, 0.9, 1.3, 1.1))
+        with pytest.raises(DomainError):
+            shape_f0211(ParamsF0211(0.8, 0.5, 0.9, 1.3, bad))
 
 
 def test_origin_values():

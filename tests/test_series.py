@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kampe import (DivergenceError, KdFShape, ParamsF0211, ParamsXi2, PoleError,
+from kampe import (DivergenceError, DomainError, KdFShape, ParamsF0211,
+                   ParameterError, ParamsXi2, PoleError,
                    SeriesStatus, TruncationPolicy, classify_convergence,
                    in_region, kdf_derivative_shape, kdf_eval,
                    kdf_eval_derivative, kdf_eval_jet, kdf_eval_points,
@@ -47,6 +48,24 @@ def test_validate_protected_pole():
     # pole hit before termination
     sh = KdFShape(upper_x=(-5.0,), lower_x=(-3.0,), lower_joint=(1.5,))
     assert not validate_shape(sh).ok
+
+
+def test_non_finite_shape_entries_are_domain_errors():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            kdf_eval(KdFShape(upper_x=(bad,)), (0.1, 0.1))
+        with pytest.raises(DomainError):
+            KdFShape(lower_joint=(1.5, bad))
+
+
+def test_policy_rejects_bad_values():
+    for bad in ({"max_diagonal": 5.5}, {"max_diagonal": 40.0}, {"max_diagonal": True},
+                {"max_diagonal": "40"}, {"max_diagonal": -1}, {"max_diagonal": 20001},
+                {"consecutive_small": 1.5}, {"consecutive_small": False},
+                {"consecutive_small": 0}, {"rel_tol": 0.0}, {"rel_tol": 1.0}):
+        with pytest.raises(ParameterError):
+            TruncationPolicy(**bad)
+    assert TruncationPolicy(max_diagonal=0, consecutive_small=1).max_diagonal == 0
 
 
 # --- coefficients: the (r, s) derivative at the origin is r! s! * coefficient ---
