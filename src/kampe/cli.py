@@ -1,6 +1,7 @@
 """Job-driven command line: reads one JSON job document, emits one JSON report.
 
-Commands: eval, convergence, residual, solutions, cauchy, check.
+Commands: eval, convergence, residual, solutions, cauchy, check; a key that
+the command does not read, at any level of the job, is a schema error.
 Exit codes: 0 ok (and all checks passed), 1 domain/math error, 2 schema error.
 Reports serialize canonically (sorted keys, %.17g floats) so parse -> emit
 round-trips byte-identically.
@@ -9,6 +10,7 @@ round-trips byte-identically.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -16,9 +18,16 @@ import sys
 from . import cauchy, checks, frobenius, named, pde, series
 from .errors import DegenerateError, DivergenceError, KampeError, SchemaError
 
-_COMMANDS = ("eval", "convergence", "residual", "solutions", "cauchy", "check")
-_FUNCTIONS = ("F1211", "F0211", "XI2")
-_PARAM_KEYS = {"F1211": "abcdefg", "F0211": "bcdeg", "XI2": "bce"}
+# function -> (parameter dataclass, shape, solution pair, expanded system)
+_FAMILIES = {
+    "F1211": (named.ParamsF1211, named.shape_f1211, frobenius.solution_pair_f1211,
+              pde.expanded_system_f1211),
+    "F0211": (named.ParamsF0211, named.shape_f0211, frobenius.solution_pair_f0211,
+              pde.expanded_system_f0211),
+    "XI2": (named.ParamsXi2, named.shape_xi2, None, None)}
+_GROUPS = tuple(field.name for field in dataclasses.fields(series.KdFShape))
+_GRID = ("x_min", "x_max", "nx", "y_min", "y_max", "ny")
+_PROBLEM = ("alpha", "beta", "lambda", "tau", "nu")
 _GRID_LIMIT = 10**6
 _NODES_LIMIT = 4096
 
@@ -63,6 +72,21 @@ def _fail(path: str, expected: str):
     raise SchemaError(f"{path}: {expected}")
 
 
+def _object(path: str, value, known, required=()) -> dict:
+    """`value` as a JSON object with no key outside `known` and every key in
+    `required`; a key of the job document ("$") is named without a prefix."""
+    if not isinstance(value, dict):
+        _fail(path, "expected an object")
+    prefix = "" if path == "$" else path + "."
+    for key in value:
+        if key not in known:
+            _fail(prefix + key, "unknown key")
+    for key in required:
+        if key not in value:
+            _fail(prefix + key, "missing")
+    return value
+
+
 def _number(path: str, value) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         _fail(path, "expected a number")
@@ -73,6 +97,12 @@ def _number(path: str, value) -> float:
     if not math.isfinite(value):
         _fail(path, "expected a finite number")
     return value
+
+
+def _numbers(path: str, value) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        _fail(path, "expected a list of numbers")
+    return tuple(_number(f"{path}[{i}]", v) for i, v in enumerate(value))
 
 
 def _integer(path: str, value, low: int | None = None, high: int | None = None) -> int:
@@ -99,12 +129,7 @@ def _points(job) -> list[tuple[float, float]]:
                         _number(f"points[{i}][1]", p[1])))
         return out
     if "grid" in job:
-        g = job["grid"]
-        if not isinstance(g, dict):
-            _fail("grid", "expected an object")
-        for key in ("x_min", "x_max", "nx", "y_min", "y_max", "ny"):
-            if key not in g:
-                _fail(f"grid.{key}", "missing")
+        g = _object("grid", job["grid"], _GRID, _GRID)
         nx = _integer("grid.nx", g["nx"], 1, _GRID_LIMIT)
         ny = _integer("grid.ny", g["ny"], 1, _GRID_LIMIT)
         if nx * ny > _GRID_LIMIT:
@@ -117,18 +142,13 @@ def _points(job) -> list[tuple[float, float]]:
     _fail("points", "missing (provide points or grid)")
 
 
+_POLICY = {"rel_tol": _number, "max_diagonal": _integer, "consecutive_small": _integer}
+
+
 def _policy(job, args) -> series.TruncationPolicy:
-    raw = job.get("policy", {})
-    if not isinstance(raw, dict):
-        _fail("policy", "expected an object")
-    kwargs = {}
-    if "rel_tol" in raw:
-        kwargs["rel_tol"] = _number("policy.rel_tol", raw["rel_tol"])
-    if "max_diagonal" in raw:
-        kwargs["max_diagonal"] = _integer("policy.max_diagonal", raw["max_diagonal"])
-    if "consecutive_small" in raw:
-        kwargs["consecutive_small"] = _integer("policy.consecutive_small",
-                                               raw["consecutive_small"])
+    raw = _object("policy", job.get("policy", {}), _POLICY)
+    kwargs = {key: check(f"policy.{key}", raw[key])
+              for key, check in _POLICY.items() if key in raw}
     if args.tol is not None:
         kwargs["rel_tol"] = args.tol
     if args.max_diagonal is not None:
@@ -144,55 +164,40 @@ def _nodes(job, args) -> int:
     return _integer("nodes", nodes, 1, _NODES_LIMIT)
 
 
-def _params(job, fn: str):
-    raw = job.get("params")
-    if not isinstance(raw, dict):
-        _fail("params", "expected an object")
-    keys = _PARAM_KEYS[fn]
+def _function(job, command: str | None = None):
+    """Parameters of the job's function, then its shape, pair and system makers."""
+    fn = job.get("function")
+    if not isinstance(fn, str) or fn not in _FAMILIES:
+        _fail("function", f"expected one of {tuple(_FAMILIES)}")
+    cls, shape, pair, system = _FAMILIES[fn]
+    if command and pair is None:
+        paired = " and ".join(name for name, (_, _, has, _) in _FAMILIES.items() if has)
+        _fail("function", f"{command} supports {paired}")
+    # letter by letter, so that the first missing or bad letter is the one named
+    names = [field.name for field in dataclasses.fields(cls)]
+    raw = _object("params", job.get("params"), names)
     vals = {}
-    for key in keys:
+    for key in names:
         if key not in raw:
             _fail(f"params.{key}", "missing")
         vals[key] = _number(f"params.{key}", raw[key])
-    cls = {"F1211": named.ParamsF1211, "F0211": named.ParamsF0211,
-           "XI2": named.ParamsXi2}[fn]
-    return cls(**vals)
-
-
-def _function(job) -> str:
-    fn = job.get("function")
-    if fn not in _FUNCTIONS:
-        _fail("function", f"expected one of {_FUNCTIONS}")
-    return fn
+    return cls(**vals), shape, pair, system
 
 
 def _shape_from_job(job) -> series.KdFShape:
     if "shape" in job:
-        raw = job["shape"]
-        if not isinstance(raw, dict):
-            _fail("shape", "expected an object of six parameter lists")
-        groups = {}
-        for key in ("upper_joint", "upper_x", "upper_y",
-                    "lower_joint", "lower_x", "lower_y"):
-            vals = raw.get(key, [])
-            if not isinstance(vals, list):
-                _fail(f"shape.{key}", "expected a list of numbers")
-            groups[key] = tuple(_number(f"shape.{key}[{i}]", v)
-                                for i, v in enumerate(vals))
+        raw = _object("shape", job["shape"], _GROUPS)
+        groups = {key: _numbers(f"shape.{key}", raw.get(key, [])) for key in _GROUPS}
         try:
             return series.KdFShape(**groups)
         except KampeError as exc:
             raise SchemaError(f"shape: {exc}") from exc
-    fn = _function(job)
-    params = _params(job, fn)
-    return {"F1211": named.shape_f1211, "F0211": named.shape_f0211,
-            "XI2": named.shape_xi2}[fn](params)
+    params, shape, _, _ = _function(job)
+    return shape(params)
 
 
 def _shape_dict(shape: series.KdFShape) -> dict:
-    return {"upper_joint": list(shape.upper_joint), "upper_x": list(shape.upper_x),
-            "upper_y": list(shape.upper_y), "lower_joint": list(shape.lower_joint),
-            "lower_x": list(shape.lower_x), "lower_y": list(shape.lower_y)}
+    return {key: list(getattr(shape, key)) for key in _GROUPS}
 
 
 def _cmd_eval(job, args):
@@ -208,8 +213,8 @@ def _cmd_eval(job, args):
                          "tail": res.tail_estimate})
         except DivergenceError as exc:
             rows.append({"x": x, "y": y, "value": math.nan,
-                         "status": "diverged", "diagonals": 0, "tail": math.inf,
-                         "error": str(exc)})
+                         "status": series.SeriesStatus.DIVERGED.value,
+                         "diagonals": 0, "tail": math.inf, "error": str(exc)})
     return {"command": "eval", "results": rows}
 
 
@@ -227,14 +232,9 @@ def _cmd_convergence(job, args):
 
 
 def _cmd_solutions(job, args):
-    fn = _function(job)
-    if fn == "XI2":
-        _fail("function", "solutions supports F1211 and F0211")
-    params = _params(job, fn)
-    builder = (frobenius.solution_pair_f1211 if fn == "F1211"
-               else frobenius.solution_pair_f0211)
+    params, _, solution_pair, _ = _function(job, "solutions")
     try:
-        pair = builder(params)
+        pair = solution_pair(params)
     except DegenerateError as exc:
         u1 = exc.first_solution
         return {"command": "solutions", "degenerate": True, "message": str(exc),
@@ -246,18 +246,12 @@ def _cmd_solutions(job, args):
 
 
 def _cmd_residual(job, args):
-    fn = _function(job)
-    if fn == "XI2":
-        _fail("function", "residual supports F1211 and F0211")
-    params = _params(job, fn)
+    params, _, solution_pair, expanded_system = _function(job, "residual")
     which = job.get("solution", "u1")
     if which not in ("u1", "u2"):
         _fail("solution", "expected 'u1' or 'u2'")
-    pair = (frobenius.solution_pair_f1211(params) if fn == "F1211"
-            else frobenius.solution_pair_f0211(params))
-    sol = pair[0 if which == "u1" else 1]
-    system = (pde.expanded_system_f1211(params) if fn == "F1211"
-              else pde.expanded_system_f0211(params))
+    sol = solution_pair(params)[0 if which == "u1" else 1]
+    system = expanded_system(params)
     policy = _policy(job, args)
     ev = frobenius.solution_evaluator(sol, policy)
     rows = []
@@ -270,12 +264,7 @@ def _cmd_residual(job, args):
 
 
 def _cmd_cauchy(job, args):
-    raw = job.get("problem")
-    if not isinstance(raw, dict):
-        _fail("problem", "expected an object")
-    for key in ("alpha", "beta"):
-        if key not in raw:
-            _fail(f"problem.{key}", "missing")
+    raw = _object("problem", job.get("problem"), _PROBLEM, ("alpha", "beta"))
     tau = raw.get("tau", [])
     nu = raw.get("nu", [])
     if not isinstance(tau, list) or not isinstance(nu, list):
@@ -285,8 +274,8 @@ def _cmd_cauchy(job, args):
             alpha=_number("problem.alpha", raw["alpha"]),
             beta=_number("problem.beta", raw["beta"]),
             lam=_number("problem.lambda", raw.get("lambda", 0.0)),
-            tau_data=tuple(_number(f"problem.tau[{i}]", v) for i, v in enumerate(tau)),
-            nu_data=tuple(_number(f"problem.nu[{i}]", v) for i, v in enumerate(nu)))
+            tau_data=_numbers("problem.tau", tau),
+            nu_data=_numbers("problem.nu", nu))
     except KampeError as exc:
         raise SchemaError(f"problem: {exc}") from exc
     nodes = _nodes(job, args)
@@ -316,18 +305,25 @@ def _cmd_check(job, args):
                         for r in results]}
 
 
-_DISPATCH = {"eval": _cmd_eval, "convergence": _cmd_convergence,
-             "residual": _cmd_residual, "solutions": _cmd_solutions,
-             "cauchy": _cmd_cauchy, "check": _cmd_check}
+# command -> (handler, the keys of the job that it reads besides "command")
+_COMMANDS = {
+    "eval": (_cmd_eval, ("function", "params", "shape", "points", "grid", "policy")),
+    "convergence": (_cmd_convergence, ("function", "params", "shape")),
+    "residual": (_cmd_residual,
+                 ("function", "params", "solution", "points", "grid", "policy")),
+    "solutions": (_cmd_solutions, ("function", "params")),
+    "cauchy": (_cmd_cauchy, ("problem", "nodes", "points", "grid", "policy")),
+    "check": (_cmd_check, ("seed", "nodes", "checks"))}
+_JOB_KEYS = {"command"}.union(*(keys for _, keys in _COMMANDS.values()))
 
 
 def run(job: dict, args) -> dict:
-    if not isinstance(job, dict):
-        _fail("$", "job document must be an object")
-    command = job.get("command")
-    if command not in _COMMANDS:
-        _fail("command", f"expected one of {_COMMANDS}")
-    return _DISPATCH[command](job, args)
+    # a key that no command reads is named before the command is looked up
+    command = _object("$", job, _JOB_KEYS).get("command")
+    if not isinstance(command, str) or command not in _COMMANDS:
+        _fail("command", f"expected one of {tuple(_COMMANDS)}")
+    handler, keys = _COMMANDS[command]
+    return handler(_object("$", job, ("command", *keys)), args)
 
 
 def _write_csv(report: dict, path: str) -> None:

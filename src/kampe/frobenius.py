@@ -153,28 +153,21 @@ def solution_evaluator(sol: Solution, policy: TruncationPolicy = DEFAULT_POLICY)
 _RATIO_TOL = 1e-6
 
 
-def independence_check(sol1, sol2, points,
+def independence_check(sol1: Solution, sol2: Solution, points,
                        policy: TruncationPolicy = DEFAULT_POLICY) -> bool:
     """Numerical surrogate for linear independence over the sampled points.
 
     True iff the ratio u2/u1 varies by more than 1e-6 relative across the
-    points.  Accepts Solution objects or plain (x, y) -> value callables.
+    points.
     """
     if len(points) < 3:
         raise ValueError("independence_check needs at least 3 points")
-
-    def as_fn(sol):
-        if isinstance(sol, Solution):
-            return lambda x, y: eval_solution(sol, (x, y), policy).value
-        return sol
-
-    f1, f2 = as_fn(sol1), as_fn(sol2)
     ratios = []
     for (x, y) in points:
-        v1 = f1(x, y)
+        v1 = eval_solution(sol1, (x, y), policy).value
         if v1 == 0.0:
             raise DomainError(f"first solution vanishes at ({x}, {y}); ratio undefined")
-        ratios.append(f2(x, y) / v1)
+        ratios.append(eval_solution(sol2, (x, y), policy).value / v1)
     spread = max(ratios) - min(ratios)
     scale = max(max(abs(r) for r in ratios), 1e-300)
     return spread / scale > _RATIO_TOL

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
 
@@ -47,8 +47,7 @@ class KdFShape:
     lower_y: tuple[float, ...] = ()
 
     def __post_init__(self):
-        for name in ("upper_joint", "upper_x", "upper_y",
-                     "lower_joint", "lower_x", "lower_y"):
+        for name in (field.name for field in fields(self)):
             vals = tuple(float(v) for v in getattr(self, name))
             if len(vals) > _MAX_GROUP:
                 raise ParameterError(f"{name} has {len(vals)} entries, limit is {_MAX_GROUP}")

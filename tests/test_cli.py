@@ -183,6 +183,31 @@ def test_schema_errors(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["message"].startswith("seed:")
 
 
+def test_unknown_keys_are_schema_errors(capsys, monkeypatch):
+    named = {"command": "eval", "function": "F0211",
+             "params": {"b": 0.5, "c": 0.5, "d": 0.5, "e": 1.5, "g": 1.5}}
+    job = {**named, "points": [[0.3, 0.4]]}
+    grid = {"x_min": 0.1, "x_max": 0.2, "nx": 2, "y_min": 0.1, "y_max": 0.2, "ny": 2}
+    cauchy = {"command": "cauchy", "points": [[0.3, 0.6]],
+              "problem": {"alpha": -0.1, "beta": -0.1, "tau": [1.0]}}
+    for bad, path in (
+            ({**job, "nodes": 64}, "nodes"),
+            ({**job, "polcy": {"max_diagonal": 1}}, "polcy"),
+            ({**job, "policy": {"max_diagonals": 1}}, "policy.max_diagonals"),
+            ({**named, "grid": {**grid, "nz": 2}}, "grid.nz"),
+            ({**job, "params": {**job["params"], "z": 1.0}}, "params.z"),
+            ({"command": "eval", "shape": {"upper_x": [0.5], "lowerx": [1.5]},
+              "points": [[0.3, 0.4]]}, "shape.lowerx"),
+            ({**cauchy, "problem": {**cauchy["problem"], "mu": 0.5}}, "problem.mu"),
+            ({"command": ["x"]}, "command"),
+            ({**job, "function": {"a": 1}}, "function")):
+        code, out = run_cli(capsys, monkeypatch, bad)
+        assert code == 2, bad
+        assert len(out.splitlines()) == 1
+        report = json.loads(out)
+        assert report["error"] == "schema" and report["message"].startswith(path + ":"), out
+
+
 def test_grid_limit(capsys, monkeypatch):
     job = {"command": "eval", "function": "XI2",
            "params": {"b": 0.7, "c": 1.1, "e": 1.4},
@@ -251,8 +276,10 @@ def test_deeply_nested_job_is_a_schema_error(capsys, monkeypatch):
 
 
 # --- fuzzing -------------------------------------------------------------------
-# Job documents mixing valid and invalid fields.  The check command and large
-# grids are left out to keep the run short, and --max-diagonal bounds each sum.
+# Job documents mixing valid and invalid fields.  Each job's optional keys are
+# drawn from those its command reads, and a minority of jobs carry one key it
+# does not read.  The check command and large grids are left out to keep the
+# run short, and --max-diagonal bounds each sum.
 
 _odd = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                  st.integers(-10**400, 10**400), st.text(max_size=3), st.none(),
@@ -278,16 +305,30 @@ _shape = _maybe(st.fixed_dictionaries({}, optional={
 _problem = _maybe(st.fixed_dictionaries({}, optional={
     "alpha": _num, "beta": _num, "lambda": _num,
     "tau": _maybe(st.lists(_num, max_size=3)), "nu": _maybe(st.lists(_num, max_size=3))}))
-_jobs = st.fixed_dictionaries(
-    {"command": _maybe(st.sampled_from(
-        ["eval", "convergence", "residual", "solutions", "cauchy", "bogus"]))},
-    optional={"function": _maybe(st.sampled_from(["F1211", "F0211", "XI2"])),
-              "params": _params, "grid": _grid, "points": _points, "policy": _policy,
-              "shape": _shape, "problem": _problem, "nodes": _maybe(st.integers(1, 6)),
-              "solution": _maybe(st.sampled_from(["u1", "u2"]))})
+_fields = {"function": _maybe(st.sampled_from(["F1211", "F0211", "XI2"])),
+           "params": _params, "grid": _grid, "points": _points, "policy": _policy,
+           "shape": _shape, "problem": _problem, "nodes": _maybe(st.integers(1, 6)),
+           "solution": _maybe(st.sampled_from(["u1", "u2"]))}
+_reads = {"eval": ("function", "params", "shape", "points", "grid", "policy"),
+          "convergence": ("function", "params", "shape"),
+          "residual": ("function", "params", "solution", "points", "grid", "policy"),
+          "solutions": ("function", "params"),
+          "cauchy": ("problem", "nodes", "points", "grid", "policy")}
 
 
-@given(_jobs)
+@st.composite
+def _jobs(draw):
+    command = draw(_maybe(st.sampled_from([*_reads, "bogus"])))
+    reads = _reads.get(command, tuple(_fields)) if isinstance(command, str) else tuple(_fields)
+    job = draw(st.fixed_dictionaries({"command": st.just(command)},
+                                     optional={key: _fields[key] for key in reads}))
+    if draw(st.integers(0, 7)) == 0:
+        stray = [key for key in _fields if key not in reads] + ["polcy", "seed"]
+        job[draw(st.sampled_from(stray))] = draw(_num)
+    return job
+
+
+@given(_jobs())
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_fuzzed_jobs_exit_cleanly(capsys, monkeypatch, job):
