@@ -17,6 +17,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import cauchy, frobenius, named, pde, series
 from .errors import KampeError
 
@@ -45,48 +47,41 @@ def hyp1d(uppers, lowers, x: float, n_terms: int = 500) -> float:
     return total
 
 
+def _factors(uppers, lowers, size: int, z: float | None = None, w: int = 0) -> np.ndarray:
+    """f[m] = prod (u)_m / prod (l)_m for m < size; with a variable z, also
+    divided by m! and times the w-th derivative of z^m, m(m-1)...(m-w+1)
+    z^(m-w) (zero for m < w).  Built as cumulative products of one-step
+    ratios, so f[m] leaves double range only where the factor itself does."""
+    k = np.arange(size - 1, dtype=float)
+    ratio = np.ones(size - 1)
+    for a in uppers:
+        ratio *= a + k
+    for a in lowers:
+        ratio /= a + k
+    if z is None:
+        return np.cumprod(np.concatenate([[1.0], ratio]))
+    ratio /= k + 1.0
+    out = np.zeros(size)
+    if w < size:
+        # from f[w] = w! prod_(k < w) ratio_k on, each step takes one power of z
+        steps = ratio[w:] * z * (k[w:] + 1.0) / (k[w:] + 1.0 - w)
+        out[w:] = np.cumprod(np.concatenate([[math.factorial(w) * math.prod(ratio[:w])], steps]))
+    return out
+
+
 def shape_double_sum(shape: series.KdFShape, x: float, y: float, rmax: int = 64,
                      smax: int = 64, wx: int = 0, wy: int = 0) -> float:
     """Brute-force double sum over r < rmax, s < smax; wx/wy > 0 differentiate
     term-wise that many times.
 
-    Every Pochhammer symbol is read from a prefix-product table of its own
-    parameter, so a term costs O(1).  Numerator and denominator Pochhammers
-    are interleaved so intermediate products stay inside double range for
-    the order caps used here.
+    The term (r, s) is J[r + s] X[r] Y[s], with J the joint factor and X, Y
+    the x- and y-factors with their powers and derivative weights, so the
+    sum is one product X H Y with the Hankel matrix H[r, s] = J[r + s].
     """
-    top = {"j": rmax + smax, "x": rmax, "y": smax}
-
-    def tables(groups):
-        out = []
-        for kind, params in zip("jxy", groups):
-            for a in params:
-                table = [1.0]
-                for j in range(top[kind]):
-                    table.append(table[-1] * (a + j))
-                out.append((table, kind))
-        return out
-
-    uppers = tables((shape.upper_joint, shape.upper_x, shape.upper_y))
-    lowers = tables((shape.lower_joint, shape.lower_x, shape.lower_y))
-    total = 0.0
-    for r in range(wx, rmax):
-        for s in range(wy, smax):
-            order = {"j": r + s, "x": r, "y": s}
-            term = x ** (r - wx) * y ** (s - wy) / math.factorial(r) / math.factorial(s)
-            for i in range(wx):
-                term *= r - i
-            for i in range(wy):
-                term *= s - i
-            for (up, kind_u), (lo, kind_l) in zip(uppers, lowers):
-                term *= up[order[kind_u]]
-                term /= lo[order[kind_l]]
-            for up, kind in uppers[len(lowers):]:
-                term *= up[order[kind]]
-            for lo, kind in lowers[len(uppers):]:
-                term /= lo[order[kind]]
-            total += term
-    return total
+    joint = _factors(shape.upper_joint, shape.lower_joint, rmax + smax - 1)
+    xs = _factors(shape.upper_x, shape.lower_x, rmax, x, wx)
+    ys = _factors(shape.upper_y, shape.lower_y, smax, y, wy)
+    return float(xs @ joint[np.add.outer(np.arange(rmax), np.arange(smax))] @ ys)
 
 
 def _finite(dev: float) -> float:

@@ -116,7 +116,16 @@ def _integer(path: str, value, low: int | None = None, high: int | None = None) 
     return value
 
 
+def _exclusive(job, key: str, others) -> None:
+    """A schema error where the job gives `key` and one of `others`, so that
+    no given key goes unread."""
+    for other in others:
+        if key in job and other in job:
+            _fail(other, f"not allowed with {key}; give one of them")
+
+
 def _points(job) -> list[tuple[float, float]]:
+    _exclusive(job, "points", ("grid",))
     if "points" in job:
         pts = job["points"]
         if not isinstance(pts, list) or not pts:
@@ -185,6 +194,7 @@ def _function(job, command: str | None = None):
 
 
 def _shape_from_job(job) -> series.KdFShape:
+    _exclusive(job, "shape", ("function", "params"))
     if "shape" in job:
         raw = _object("shape", job["shape"], _GROUPS)
         groups = {key: _numbers(f"shape.{key}", raw.get(key, [])) for key in _GROUPS}
@@ -265,17 +275,13 @@ def _cmd_residual(job, args):
 
 def _cmd_cauchy(job, args):
     raw = _object("problem", job.get("problem"), _PROBLEM, ("alpha", "beta"))
-    tau = raw.get("tau", [])
-    nu = raw.get("nu", [])
-    if not isinstance(tau, list) or not isinstance(nu, list):
-        _fail("problem.tau", "expected polynomial coefficient lists")
+    fields = {"alpha": _number("problem.alpha", raw["alpha"]),
+              "beta": _number("problem.beta", raw["beta"]),
+              "lam": _number("problem.lambda", raw.get("lambda", 0.0)),
+              "tau_data": _numbers("problem.tau", raw.get("tau", [])),
+              "nu_data": _numbers("problem.nu", raw.get("nu", []))}
     try:
-        problem = cauchy.CauchyProblem(
-            alpha=_number("problem.alpha", raw["alpha"]),
-            beta=_number("problem.beta", raw["beta"]),
-            lam=_number("problem.lambda", raw.get("lambda", 0.0)),
-            tau_data=_numbers("problem.tau", tau),
-            nu_data=_numbers("problem.nu", nu))
+        problem = cauchy.CauchyProblem(**fields)
     except KampeError as exc:
         raise SchemaError(f"problem: {exc}") from exc
     nodes = _nodes(job, args)

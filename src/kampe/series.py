@@ -383,6 +383,99 @@ class _JetOrder:
         self.coeff = abs(coeff)
 
 
+_GATE = 6  # diagonal sums the acceleration gate looks at
+_GATE_RATIO = 0.5  # the least |d_n / d_(n-1)| inside the gate
+_GATE_SLACK = 1.0 - 1e-9  # lets a constant ratio that rounds down pass "does not fall"
+_LEVIN_ORDER = 40  # the highest transform order tried before plain summation
+_SUM_ROUNDING = 2.0 ** -51  # 4 units of rounding of a partial sum
+
+
+def _gate_holds(window) -> bool:
+    """Whether the last _GATE diagonal sums of a window of (partial sum, d)
+    pass the acceleration gate, given that they alternate in sign and each
+    |d_n / d_(n-1)| is at least _GATE_RATIO: the ratio must not fall across
+    them, as it does in entire directions (like |y| / n)."""
+    first, second, last, end = (window[i][1] for i in (-_GATE, 1 - _GATE, -2, -1))
+    return abs(end / last) >= abs(second / first) * _GATE_SLACK
+
+
+class _Levin:
+    """Levin's u-transform T of one series' partial sums S_n from the gate's
+    first diagonal on, with beta = 1 and remainder estimates
+    omega_n = (n + 1) d_n (Levin 1973; Weniger, Comput. Phys. Rep. 10, 1989).
+    The numerators and denominators of the Fessler-Ford-Smith recurrence
+    make each new transform O(order); `tail` is |T_n - T_(n-1)|.
+
+    The transform is tested only at chosen diagonals, where its tail should
+    lie far below rel_tol |T|.  A test at every diagonal would hinge on the
+    rounding of the tail where it first meets rel_tol |T|, so two sums of
+    one series that round apart (a jet's weighted sums and the shifted
+    series' own) could stop at different diagonals.  At the first tail below
+    sqrt(rel_tol) |T|, still far above rounding, the tail's mean rate of
+    decay since the first tail predicts the diagonal at which it falls
+    below rel_tol |T|; the first test comes `consecutive` diagonals after
+    that one, and after a failed test the next comes `consecutive` later."""
+
+    __slots__ = ("rel_tol", "consecutive", "first", "num", "den", "total", "value", "tail",
+                 "decay", "small", "test")
+
+    def __init__(self, window, n: int, rel_tol: float, consecutive: int):
+        """Seed with the window of (S_j, d_j) that ends at diagonal n."""
+        self.rel_tol, self.consecutive = rel_tol, consecutive
+        self.first = n + 1 - len(window)
+        self.num, self.den = [], []
+        self.value, self.tail, self.decay, self.small, self.test = math.nan, math.inf, None, 0, None
+        for j, (total, d) in enumerate(window, self.first):
+            self.add(j, total, d)
+
+    def add(self, n: int, total: float, d: float) -> None:
+        """Take the partial sum and the sum of diagonal n."""
+        w = (n + 1.0) * d
+        num, den = [total / w], [1.0 / w]
+        old_num, old_den = self.num, self.den
+        if old_num:
+            # X_(k+1) = X_k(new) - c_k X_k(old), c_k = (n - k) / (n + 1) * (n / (n + 1))^(k - 1)
+            num.append(num[0] - old_num[0])
+            den.append(den[0] - old_den[0])
+            scale = 1.0 / (n + 1.0)
+            ratio, f = n * scale, scale
+            for k in range(1, len(old_num)):
+                c = (n - k) * f
+                num.append(num[k] - c * old_num[k])
+                den.append(den[k] - c * old_den[k])
+                f *= ratio
+        self.num, self.den, self.total = num, den, total
+        value = num[-1] / den[-1] if den[-1] != 0.0 else math.nan
+        self.tail, self.value = abs(value - self.value), value
+        bound = self.rel_tol * abs(value)
+        self.small = self.small + 1 if self.tail <= bound else 0
+        if self.decay is None and 0.0 < self.tail < math.inf:
+            self.decay = (n, self.tail)
+        if self.test is None and self.tail <= math.sqrt(self.rel_tol) * abs(value):
+            steps = 0
+            if self.decay is not None and bound < self.tail < self.decay[1]:
+                m, first_tail = self.decay
+                rate = math.log(self.tail / first_tail) / (n - m)
+                steps = math.ceil(math.log(bound / self.tail) / rate)
+            self.test = n + steps + self.consecutive
+
+    def verdict(self, n: int) -> bool | None:
+        """True at a test diagonal n where the last `consecutive` tails were
+        within rel_tol |T|; False once the transform cannot settle, because
+        the rounding of the partial sum (_SUM_ROUNDING times its size)
+        reaches rel_tol |T| or the order passes _LEVIN_ORDER; else None."""
+        if n - self.first >= _LEVIN_ORDER:
+            return False
+        if self.test is None or n < self.test:
+            return None
+        if not _SUM_ROUNDING * abs(self.total) <= self.rel_tol * abs(self.value):
+            return False
+        if self.small >= self.consecutive:
+            return True
+        self.test = n + self.consecutive
+        return None
+
+
 def _stop_rule(plan: _JetOrder, rel_tol: float, consecutive: int, in_reg: bool,
                status_on_stop: SeriesStatus):
     """The stopping rule and checks of one series at one point, as a primed
@@ -396,11 +489,22 @@ def _stop_rule(plan: _JetOrder, rel_tol: float, consecutive: int, in_reg: bool,
     too, else at the plan's last diagonal: exactly where the series
     terminates there, truncated at the cap otherwise.  A NaN sum is a pole;
     a sum or term beyond double range, or _GROW_LIMIT growing diagonals in a
-    row outside the convergence region, are a DivergenceError."""
+    row outside the convergence region, are a DivergenceError.
+
+    Inside the convergence region a series that does not terminate may stop
+    sooner: while its last _GATE diagonal sums alternate in sign, shrink by
+    a ratio of at least _GATE_RATIO and that ratio does not fall
+    (`_gate_holds`), their Levin transform (`_Levin`) runs beside the plain
+    sum, and the rule stops with the transform as its value once it
+    settles."""
     total, _ = yield
     prev, before = total, 0.0
     small = grow = 0
     floor = _TINY * plan.coeff
+    accelerate = in_reg and plan.finite is None
+    # the (partial sum, d) of the diagonals since the one before the gate's
+    # run of alternating, slowly shrinking sums began
+    window, levin, last_total = [], None, total
     n = 0
     while n < plan.last - plan.start:
         d, peak = yield None
@@ -424,7 +528,25 @@ def _stop_rule(plan: _JetOrder, rel_tol: float, consecutive: int, in_reg: bool,
             tail = abs_d * rho / (1.0 - rho)
             if tail <= rel_tol * scale:
                 yield total, n, tail, status_on_stop
-        before, prev = prev, d
+        if accelerate and d * prev < 0.0 and abs_d >= _GATE_RATIO * abs(prev):
+            if not window:
+                window.append((last_total, prev))
+            window.append((total, d))
+            if len(window) < _GATE or not _gate_holds(window):
+                levin = None
+            else:
+                if levin is None:
+                    levin = _Levin(window[-_GATE:], n, rel_tol, consecutive)
+                else:
+                    levin.add(n, total, d)
+                verdict = levin.verdict(n)
+                if verdict:
+                    yield levin.value, n, levin.tail, status_on_stop
+                elif verdict is False:  # it cannot settle: plain sums only
+                    accelerate, levin = False, None
+        elif window:
+            window, levin = [], None
+        before, prev, last_total = prev, d, total
     if plan.finite == n:
         yield total, n, 0.0, SeriesStatus.TERMINATING
     yield total, n, _cap_tail(prev, before), SeriesStatus.TRUNCATED_AT_CAP
@@ -632,9 +754,10 @@ class _Points:
     """The sweep's two point-count dependent steps over many points: numpy
     makes each diagonal for all points still summing, and the stopping rule
     runs as array operations over (point, order, diagonal), `_stop_rule`
-    for every pair of a block at once.  A pair ends at its first diagonal
-    that fails, stops or reaches its cap; a point leaves once all its pairs
-    end.  Row i belongs to point rows[i]."""
+    for every pair of a block at once, except that the pairs that pass the
+    acceleration gate run `_stop_rule`'s `_Levin` one diagonal at a time.
+    A pair ends at its first diagonal that fails, stops or reaches its cap;
+    a point leaves once all its pairs end.  Row i belongs to point rows[i]."""
 
     def __init__(self, jets, x, y, swept, in_reg, rule, out: _Outcome, powers, unit):
         self.start = np.array([o.start for o in jets])[:, None]
@@ -651,6 +774,12 @@ class _Points:
         self.prev = np.zeros(swept.shape)
         self.small = np.zeros(swept.shape, dtype=int)
         self.grow = np.zeros(swept.shape, dtype=int)
+        # the acceleration: whether a pair may still use it, its gate's run,
+        # the last partial sums and diagonal sums, and each running transform
+        self.accel = in_reg[:, None] & self.open[:, 0]
+        self.run = np.zeros(swept.shape, dtype=int)
+        self.seen = None  # (partial sums, diagonal sums) of the last diagonals
+        self.levins: dict[tuple[int, int], _Levin] = {}
 
     @property
     def points(self) -> int:
@@ -701,16 +830,11 @@ class _Points:
         abs_d = np.abs(d)
         scale = np.maximum(np.abs(total), self.floor)
 
-        def runs(flags, carried):
-            """Consecutive true flags up to each diagonal, after `carried`."""
-            last_false = np.maximum.accumulate(np.where(flags, -1, step), axis=2)
-            return np.where(last_false < 0, carried[:, :, None] + step + 1, step - last_false)
-
-        small = runs(rest & (abs_d <= rel_tol * scale), self.small)
+        small = _runs(rest & (abs_d <= rel_tol * scale), self.small)
         grow = self.grow[:, :, None]
         failed = np.zeros(d.shape, dtype=bool)
         if not self.in_reg.all():  # growth fails only outside the region
-            grow = runs(rest & (abs_d > np.abs(prev)), self.grow)
+            grow = _runs(rest & (abs_d > np.abs(prev)), self.grow)
             failed = rest & (grow >= _GROW_LIMIT) & ~self.in_reg[:, None, None]
         if peaks is not None or not abs_d.max() < math.inf:
             failed = failed | (rest & ~np.isfinite(d))
@@ -721,8 +845,11 @@ class _Points:
             rho = np.where(prev != 0.0, np.minimum(0.99, np.abs(d / prev)), 0.0)
             tail = abs_d * rho / (1.0 - rho)
             done &= tail <= rel_tol * scale
+        settled, levin_at = self._accelerate(d, prev, total, rest, failed | done, n0)
         capped = live & (n == self.last_at)
         ended = failed | done | capped
+        if settled is not None:
+            ended |= settled
         stops = ended.any(axis=2)
         r, c = np.nonzero(stops)
         b = ended[r, c].argmax(axis=1)
@@ -735,6 +862,11 @@ class _Points:
         rows, used, value = self.rows[r], n[b] - self.start[c, 0], total[at]
         done &= ~failed
         capped = ~failed & ~done
+        if settled is not None:
+            settled = settled[at] & capped
+            capped &= ~settled
+            for i in np.flatnonzero(settled).tolist():
+                out.record(rows[i], c[i], *levin_at[r[i], c[i]], status_on_stop)
         exact = capped & self.exact[c]
         capped &= ~exact
         if done.any():
@@ -758,9 +890,84 @@ class _Points:
                 self.on[r[i]] = False
 
         kept = self.on.any(axis=1)
-        for name in ("rows", "x", "y", "terms", "powers", "unit",
-                     "on", "in_reg", "total", "prev", "small", "grow"):
+        for name in ("rows", "x", "y", "terms", "powers", "unit", "on", "in_reg", "total",
+                     "prev", "small", "grow", "accel", "run"):
             setattr(self, name, getattr(self, name)[kept])
+        if self.seen is not None:
+            self.seen = tuple(a[kept] for a in self.seen)
+
+    def _accelerate(self, d, prev, total, rest, halt, n0: int):
+        """`_stop_rule`'s acceleration over the block: its gate at every
+        (point, order, diagonal) as array operations, then each pair that
+        passes it somewhere runs its `_Levin` diagonal by diagonal, up to
+        the first diagonal where it fails or stops without it (`halt`), which
+        `_stop_rule` does not pass either.  Returns where pairs stop with the
+        transform (None where no pair passes the gate) and {(row, order):
+        (value, diagonals, tail)}."""
+        ok = (rest & self.accel[:, :, None] & (d * prev < 0.0)
+              & (np.abs(d) >= _GATE_RATIO * np.abs(prev)))
+        if not ok.any():
+            self.run, self.seen, self.levins = np.zeros_like(self.run), None, {}
+            return None, {}
+        run = _runs(ok, self.run)
+        gate = run >= _GATE - 1
+        opened, self.run = gate.any(), run[:, :, -1]
+        if not (opened or self.run.any()):
+            self.seen, self.levins = None, {}
+            return None, {}
+        # the partial and diagonal sums of the _GATE - 1 diagonals before the
+        # block and of the block; without a run into the block only the last
+        # of those can open a window
+        if self.seen is None:
+            self.seen = tuple(np.zeros(self.run.shape + (_GATE - 1,)) for _ in range(2))
+            self.seen[0][:, :, -1], self.seen[1][:, :, -1] = self.total, self.prev
+        seen_s, seen_d = (np.concatenate(pair, axis=2) for pair in zip(self.seen, (total, d)))
+        self.seen = (seen_s[:, :, -(_GATE - 1):], seen_d[:, :, -(_GATE - 1):])
+        if not opened:
+            self.levins = {}
+            return None, {}
+        nb = d.shape[2]
+        gate &= np.abs(d / prev) >= np.abs(seen_d[:, :, 1:nb + 1] / seen_d[:, :, :nb]) * _GATE_SLACK
+
+        rel_tol, consecutive, _ = self.rule
+        settled, levin_at, levins = np.zeros(gate.shape, dtype=bool), {}, {}
+        for r, c in zip(*np.nonzero(gate.any(axis=2))):
+            key, start = (int(self.rows[r]), int(c)), int(self.start[c, 0])
+            levin = self.levins.get(key)
+            totals, sums = seen_s[r, c].tolist(), seen_d[r, c].tolist()
+            for b in np.flatnonzero(rest[r, c]).tolist():
+                if halt[r, c, b]:
+                    break
+                if not gate[r, c, b]:
+                    levin = None
+                    continue
+                k = n0 + b - start
+                if levin is None:
+                    window = list(zip(totals[b:b + _GATE], sums[b:b + _GATE]))
+                    levin = _Levin(window, k, rel_tol, consecutive)
+                else:
+                    levin.add(k, totals[b + _GATE - 1], sums[b + _GATE - 1])
+                verdict = levin.verdict(k)
+                if verdict is not None:
+                    if verdict:
+                        settled[r, c, b] = True
+                        levin_at[r, c] = (levin.value, k, levin.tail)
+                    else:  # it cannot settle: plain sums only
+                        self.accel[r, c] = False
+                    levin = None
+                    break
+            if levin is not None:
+                levins[key] = levin
+        self.levins = levins
+        return settled, levin_at
+
+
+def _runs(flags, carried):
+    """Consecutive true flags up to each diagonal of a block, axis 2, after
+    `carried` true flags before it."""
+    step = np.arange(flags.shape[2])
+    last_false = np.maximum.accumulate(np.where(flags, -1, step), axis=2)
+    return np.where(last_false < 0, carried[:, :, None] + step + 1, step - last_false)
 
 
 @lru_cache(maxsize=64)

@@ -208,6 +208,37 @@ def test_unknown_keys_are_schema_errors(capsys, monkeypatch):
         assert report["error"] == "schema" and report["message"].startswith(path + ":"), out
 
 
+def test_keys_that_exclude_each_other_are_schema_errors(capsys, monkeypatch):
+    params = {"b": 0.5, "c": 0.5, "d": 0.5, "e": 1.5, "g": 1.5}
+    grid = {"x_min": 0.1, "x_max": 0.2, "nx": 2, "y_min": 0.1, "y_max": 0.2, "ny": 2}
+    shape = {"upper_x": [0.5], "lower_joint": [1.5]}
+    problem = {"alpha": -0.1, "beta": -0.1, "tau": [1.0]}
+    for bad, path in (
+            ({"command": "eval", "function": "F0211", "params": params,
+              "points": [[0.3, 0.4]], "grid": grid}, "grid"),
+            ({"command": "cauchy", "problem": problem, "points": [[0.3, 0.6]],
+              "grid": grid}, "grid"),
+            ({"command": "eval", "shape": shape, "function": "F0211",
+              "points": [[0.3, 0.4]]}, "function"),
+            ({"command": "eval", "shape": shape, "params": params,
+              "points": [[0.3, 0.4]]}, "params"),
+            ({"command": "convergence", "shape": shape, "function": "F0211",
+              "params": params}, "function")):
+        code, out = run_cli(capsys, monkeypatch, bad)
+        assert code == 2, bad
+        report = json.loads(out)
+        assert report["error"] == "schema" and report["message"].startswith(path + ":"), out
+
+
+def test_cauchy_data_that_is_not_a_list_names_its_key(capsys, monkeypatch):
+    problem = {"alpha": -0.1, "beta": -0.1, "tau": [1.0], "nu": [0.5]}
+    for key in ("tau", "nu"):
+        job = {"command": "cauchy", "problem": {**problem, key: 5}, "points": [[0.3, 0.6]]}
+        code, out = run_cli(capsys, monkeypatch, job)
+        assert code == 2
+        assert json.loads(out)["message"].startswith(f"problem.{key}:"), out
+
+
 def test_grid_limit(capsys, monkeypatch):
     job = {"command": "eval", "function": "XI2",
            "params": {"b": 0.7, "c": 1.1, "e": 1.4},
@@ -290,7 +321,10 @@ _count = st.one_of(st.integers(-1, 3), _odd)
 
 
 def _maybe(strategy):
-    return st.one_of(strategy, _odd)
+    """The valid strategy in about half of the draws, else an odd value.  Not
+    one_of(strategy, _odd): it flattens _odd's seven branches into its own,
+    so the valid strategy would win about one draw in eight."""
+    return st.booleans().flatmap(lambda valid: strategy if valid else _odd)
 
 
 _params = _maybe(st.dictionaries(st.sampled_from("abcdefgz"), _num, max_size=8))

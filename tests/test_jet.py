@@ -187,6 +187,21 @@ def test_jet_matches_shift_identity_on_named_shapes():
             assert_jet_matches_shift(shape, point, ORDERS)
 
 
+def test_jet_matches_shift_identity_where_sums_are_accelerated():
+    # alternating diagonal sums just inside |x| = 1, where the Levin
+    # transform stops the sums: per order the same diagonals and status as
+    # the shift identity, at one point and over many ((-0.9, -2.5) is one
+    # of the named points above).  Each x-derivative raises the x-group's
+    # excess by one, and where the ratio of the shifted sums then falls
+    # toward |x| they are summed plainly, so the orders stay low in x.
+    points = [(-0.9, 2.5), (-0.95, -8.0), (-0.85, 1.5)]
+    orders = [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (0, 3)]
+    for shape in (F0211, XI2, F1211):
+        for point in points:
+            assert_jet_matches_shift(shape, point, orders)
+        assert_points_match_jets(shape, points, orders)
+
+
 def test_jet_on_axes_and_tiny_coordinates():
     points = [(0.0, 0.0), (0.45, 0.0), (0.0, -0.7), (1e-80, 0.3), (-1e-80, 1e-80),
               (0.2, 1e-200), (-1e-200, -0.4)]

@@ -94,6 +94,19 @@ def test_points_equal_scalar_under_starved_policy():
         assert SeriesStatus.TRUNCATED_AT_CAP in res.statuses
 
 
+def test_points_equal_scalar_where_sums_are_accelerated():
+    # alternating diagonal sums just inside |x| = 1: the Levin transform
+    # stops these within 40 diagonals, also under caps that cut it short
+    points = [(-0.9, -2.5), (-0.9, 2.5), (-0.95, -8.0), (-0.947, -3.69), (0.3, 0.4),
+              (-0.85, 1.5)]
+    for shape in (F0211, XI2, F1211):
+        for cap in (12, 25, 30, 5000):
+            assert_same_as_scalar(shape, points, TruncationPolicy(max_diagonal=cap))
+    res = kdf_eval_points(F0211, [-0.947, -0.95], [-3.69, -8.0])
+    assert res.statuses == (SeriesStatus.CONVERGED,) * 2
+    assert res.diagonals_used.max() <= 40
+
+
 def test_points_errors_match_scalar():
     policy = TruncationPolicy(max_diagonal=2000)
     with pytest.raises(PoleError):
