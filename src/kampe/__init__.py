@@ -26,6 +26,7 @@ from .series import (DEFAULT_POLICY, ConvergenceRegion, KdFShape, PointsResult,
 # (54.7 -> 53.0 MB on Python 3.11.7, x86-64).  The allocator effect behind
 # it is not pinned down; compiling on import peaks at ~59.5 MB either way.
 from .cauchy import (CauchyProblem, dsigma_dt, gamma_constants, h_kernel,
-                     jacobi_rule, rho, sigma, solve_point, verify_trace)
+                     jacobi_rule, rho, sigma, solve_point, solve_points,
+                     verify_trace)
 
 __version__ = "0.1.0"

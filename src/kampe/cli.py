@@ -286,10 +286,9 @@ def _cmd_cauchy(job, args):
         raise SchemaError(f"problem: {exc}") from exc
     nodes = _nodes(job, args)
     policy = _policy(job, args)
-    rows = []
-    for (xi, eta) in _points(job):
-        rows.append({"x": xi, "y": eta,
-                     "value": cauchy.solve_point(problem, (xi, eta), nodes, policy)})
+    points = _points(job)
+    values = cauchy.solve_points(problem, points, nodes, policy).tolist()
+    rows = [{"x": xi, "y": eta, "value": v} for (xi, eta), v in zip(points, values)]
     return {"command": "cauchy", "nodes": nodes, "results": rows}
 
 

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from kampe import (CauchyProblem, ConvergenceWarning, DomainError,
-                   ParameterError, PoleError, dsigma_dt, gamma_constants,
-                   h_kernel, jacobi_rule, rho, sigma, solve_point, verify_trace)
+                   ParameterError, PoleError, TruncationPolicy, dsigma_dt,
+                   gamma_constants, h_kernel, jacobi_rule, rho, sigma,
+                   solve_point, solve_points, verify_trace)
 from oracles import exact_u_nu, exact_u_tau
 
 # 50-digit references, alpha = beta = -0.2
@@ -41,6 +43,25 @@ def test_dsigma_dt_closed_form_and_fd():
         fd = (sigma(0.2, 0.6, t + h) - sigma(0.2, 0.6, t - h)) / (2 * h)
         assert dsigma_dt(0.2, 0.6, t) == pytest.approx(fd, rel=1e-8)
     assert dsigma_dt(0.2, 0.6, root - 0.05) > 0 > dsigma_dt(0.2, 0.6, root + 0.05)
+
+
+def test_similarity_arguments_broadcast_one_interval_per_abscissa():
+    xi = np.array([[0.2], [0.3]])
+    eta = np.array([[0.6], [0.5]])
+    t = np.array([[0.3, 0.4, 0.6], [0.3, 0.45, 0.5]])
+    s, r, ds = sigma(xi, eta, t), rho(xi, eta, t, 2.0), dsigma_dt(xi, eta, t)
+    assert s.shape == r.shape == ds.shape == (2, 3)
+    for i in range(2):
+        for j in range(3):
+            args = (float(xi[i, 0]), float(eta[i, 0]), float(t[i, j]))
+            assert s[i, j] == sigma(*args)
+            assert r[i, j] == rho(*args, 2.0)
+            assert ds[i, j] == dsigma_dt(*args)
+    # 0.55 lies in the first row's [0.2, 0.6] but not in its own [0.3, 0.5]
+    t_bad = np.array([[0.3, 0.4, 0.6], [0.3, 0.55, 0.5]])
+    for fn in (sigma, dsigma_dt, lambda *a: rho(*a, 2.0)):
+        with pytest.raises(DomainError, match="t = 0.55 outside \\[0.3, 0.5\\]"):
+            fn(xi, eta, t_bad)
 
 
 def test_gamma_constants_values():
@@ -258,3 +279,84 @@ def test_solve_point_series_calls(monkeypatch):
     solve_point(CauchyProblem(alpha=-0.05, beta=-0.15, lam=0.0, tau_data=(1.0, 1.0, 0.0, 1.0),
                               nu_data=(2.0, 0.0, -1.0)), (0.3, 0.55), 64)
     assert calls == {"points": 2, "scalar": 0}
+
+
+# the 10 x 10 grid of the benchmark's seed-1 CLI cauchy job, in the CLI's
+# order (x outer, y inner); PROBLEM_0 is that job's problem
+def _grid(x_min, y_min, nx=10, ny=10, dx=0.15, dy=0.35):
+    xs = [x_min + dx * i / max(nx - 1, 1) for i in range(nx)]
+    ys = [y_min + dy * j / max(ny - 1, 1) for j in range(ny)]
+    return [(x, y) for x in xs for y in ys]
+
+
+JOB_GRID = _grid(0.13708461613135192, 0.5748882425300762)
+PROBLEM_0 = CauchyProblem(alpha=-0.1, beta=-0.2, lam=0.8,
+                          tau_data=(1.0, 0.5, -0.3), nu_data=(0.4, 0.2))
+LAMBDA_0 = CauchyProblem(alpha=-0.05, beta=-0.15, lam=0.0, tau_data=(1.0, 1.0, 0.0, 1.0),
+                         nu_data=(2.0, 0.0, -1.0))
+
+
+@pytest.mark.parametrize("problem,points,n_nodes", [
+    (PROBLEM_0, JOB_GRID, 64),
+    (LAMBDA_0, JOB_GRID, 64),
+    (MIXED_64, _grid(0.1, 0.4, 37, 1, dx=0.25), 64),  # not a multiple of 16 points
+    (MIXED_128, [(0.2, 0.7), (0.31, 0.45)], 2048),  # one point per sweep
+], ids=["job-grid", "lambda-0", "37-points", "2048-nodes"])
+def test_solve_points_is_solve_point_to_the_bit(problem, points, n_nodes):
+    got = solve_points(problem, points, n_nodes)
+    assert got.shape == (len(points),)
+    assert got.tolist() == [solve_point(problem, p, n_nodes) for p in points]
+
+
+def _count_sweeps(monkeypatch):
+    from kampe import cauchy
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(np.ravel(args[1])))
+        return kdf_eval_points(*args, **kwargs)
+
+    kdf_eval_points = cauchy.kdf_eval_points
+    monkeypatch.setattr(cauchy, "kdf_eval_points", counted)
+    return calls
+
+
+def test_solve_points_checks_every_point_before_any_sweep(monkeypatch):
+    calls = _count_sweeps(monkeypatch)
+    points = JOB_GRID[:4] + [(0.6, 0.6)] + JOB_GRID[4:] + [(0.7, 0.3)]
+    with pytest.raises(DomainError, match=r"got \(0.6, 0.6\)"):
+        solve_points(PROBLEM_0, points)
+    assert calls == []
+
+
+def test_solve_points_sweeps_1024_abscissae_at_most(monkeypatch):
+    calls = _count_sweeps(monkeypatch)
+    solve_points(PROBLEM_0, JOB_GRID, 64)
+    # 16 points a chunk, 7 chunks; the tau and nu kernels sweep each once
+    assert len(calls) == 14
+    assert calls == [1024] * 12 + [256] * 2
+
+
+def test_solve_points_warns_on_truncation():
+    starved = TruncationPolicy(max_diagonal=6)
+    prob = CauchyProblem(alpha=-0.1, beta=-0.1, lam=0.0, tau_data=(1.0,))
+    with pytest.warns(ConvergenceWarning):
+        solve_points(prob, [(0.3, 0.6), (0.01, 0.9), (0.2, 0.4)], 8, starved)
+
+
+def test_verify_trace_is_solve_point_to_the_bit():
+    prob = CauchyProblem(alpha=-0.1, beta=-0.1, lam=0.0, tau_data=(0.0, 1.0))
+    eps = (1e-1, 3e-2, 1e-2, 3e-3)
+    assert verify_trace(prob, 0.3, eps) == [
+        (e, abs(solve_point(prob, (0.3, 0.3 + e)) - 0.3)) for e in eps]
+
+
+def test_solve_points_pinned_values():
+    # values of the per-point solver that grids replaced; each moves in its
+    # last bits when the non-integer powers are taken with numpy's array **
+    # (a vectorised pow that can round differently from scalar pow)
+    assert solve_points(PROBLEM_0, [(0.26596666727432305, 0.9041088632214754),
+                                    (0.39385149909045764, 0.5822663924608844)],
+                        128).tolist() == [1.3950019115835828, 1.1838683340485896]
+    assert solve_point(LAMBDA_0, (0.14954912533529466, 0.35884971958330575),
+                       64) == 1.2057024665178075

@@ -126,6 +126,23 @@ def test_cauchy_command(capsys, monkeypatch):
     assert json.loads(out)["results"][0]["value"] == pytest.approx(2.5, abs=1e-6)
 
 
+def test_cauchy_grid_rows_are_its_one_point_jobs(capsys, monkeypatch):
+    job = {"command": "cauchy", "nodes": 64,
+           "problem": {"alpha": -0.1, "beta": -0.2, "lambda": 0.8,
+                       "tau": [1.0, 0.5, -0.3], "nu": [0.4, 0.2]},
+           "grid": {"x_min": 0.13, "x_max": 0.28, "nx": 4,
+                    "y_min": 0.57, "y_max": 0.92, "ny": 5}}
+    code, out = run_cli(capsys, monkeypatch, job)
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert len(rows) == 20
+    one_point = {k: v for k, v in job.items() if k != "grid"}
+    for row in rows:
+        code, out = run_cli(capsys, monkeypatch, {**one_point, "points": [[row["x"], row["y"]]]})
+        assert code == 0
+        assert canonical_dumps(json.loads(out)["results"][0]) == canonical_dumps(row)
+
+
 def test_check_subset_deterministic(capsys, monkeypatch):
     job = {"command": "check",
            "checks": ["indicial_roots", "quadrature_moments", "origin_normalization"]}
